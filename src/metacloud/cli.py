@@ -180,7 +180,7 @@ def cmd_eval(args, parser):
     clouds, labels = dataset.points_and_labels()
     logits = network.logits_batch(params, clouds)
     predicted = logits.argmax(axis=1)
-    loss = network.loss_batch(params, clouds, labels)
+    loss = float(network.cross_entropy(logits, labels)[0])
     per_class = {}
     print(f"{'class':<12} {'count':>5} {'accuracy':>9}")
     for idx, name in enumerate(dataset.class_names):
@@ -258,9 +258,6 @@ def main(argv=None):
     except (data.DatasetFormatError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

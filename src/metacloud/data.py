@@ -303,20 +303,23 @@ def load_cloud(path):
         raise DatasetFormatError(f"{path}:1: header must hold two integers") from None
     if n < 1 or label < 0:
         raise DatasetFormatError(f"{path}:1: need n >= 1 and label >= 0")
-    body = [ln for ln in lines[1:] if ln.strip()]
+    body = [(lineno, ln) for lineno, ln in enumerate(lines[1:], start=2) if ln.strip()]
     if len(body) != n:
         raise DatasetFormatError(
             f"{path}:{len(lines)}: header says {n} points, file holds {len(body)}"
         )
     pts = np.empty((n, 3))
-    for i, line in enumerate(body):
+    for i, (lineno, line) in enumerate(body):
         fields = line.split()
         if len(fields) != 3:
-            raise DatasetFormatError(f"{path}:{i + 2}: expected 3 coordinates")
+            raise DatasetFormatError(f"{path}:{lineno}: expected 3 coordinates")
         try:
             pts[i] = [float(f) for f in fields]
         except ValueError:
-            raise DatasetFormatError(f"{path}:{i + 2}: bad float") from None
+            raise DatasetFormatError(f"{path}:{lineno}: bad float") from None
+    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+    if len(bad):
+        raise DatasetFormatError(f"{path}:{body[bad[0]][0]}: coordinates must be finite")
     return PointCloud(pts, label)
 
 

@@ -6,7 +6,8 @@ inner gradient descent per task, and sums the post-adaptation gradients
 (first order: the inner Jacobian is treated as identity) into one outer Adam
 update. After each epoch every task is scored on the validation split and
 the sampling probabilities become the softmax of those losses, so harder
-tasks are sampled more.
+tasks are sampled more. The ablation baselines are the same loop with parts
+switched off (see train); with inner rate 0 a task takes one gradient.
 
 Randomness: each run forks one seed into named substreams, in this fixed
 order: "init" (parameters), "order" (batch shuffling), "tasks" (task index
@@ -16,7 +17,7 @@ is part of the reproducibility contract; new streams must be appended.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -132,16 +133,29 @@ class MetaStepResult:
     adapted_losses: np.ndarray
 
 
-def _meta_step(params, probabilities, labels, k, eta, task_rng, task_batch):
-    """Shared bilevel step; task_batch(t) yields the batch corrupted by task t."""
-    indices = sample_task_indices(probabilities, k, task_rng)
+def _corrupt(spec, clouds, rng):
+    return [apply_transform(spec, c, rng) for c in clouds]
+
+
+def _fresh_batches(task_set, clouds, rng):
+    """task_batch for _meta_step: task t's fresh draws on clouds; t None is the raw batch."""
+    return lambda t: clouds if t is None else _corrupt(task_set.transforms[t], clouds, rng)
+
+
+def _meta_step(params, labels, indices, eta, task_batch):
+    """Shared bilevel step; task_batch(t) yields the batch corrupted by task t.
+
+    With eta 0 the adapted parameters equal params, so no second gradient is taken.
+    """
     total = None
     task_losses, adapted_losses = [], []
     for t in indices:
-        clouds_t = task_batch(int(t))
+        clouds_t = task_batch(t)
         loss_t, grads_t = network.loss_and_grad(params, clouds_t, labels)
-        adapted = network.sgd_step(params, grads_t, eta)
-        loss_a, grads_a = network.loss_and_grad(adapted, clouds_t, labels)
+        loss_a, grads_a = loss_t, grads_t
+        if eta != 0.0:
+            adapted = network.sgd_step(params, grads_t, eta)
+            loss_a, grads_a = network.loss_and_grad(adapted, clouds_t, labels)
         task_losses.append(loss_t)
         adapted_losses.append(loss_a)
         if total is None:
@@ -166,12 +180,9 @@ def meta_train_step(params, task_set, clouds, labels, k, eta, task_rng, transfor
     summed post-adaptation gradients plus the summed post-adaptation loss.
     Duplicate task draws simply contribute twice.
     """
-
-    def task_batch(t):
-        spec = task_set.transforms[t]
-        return [apply_transform(spec, c, transform_rng) for c in clouds]
-
-    return _meta_step(params, task_set.probabilities, labels, k, eta, task_rng, task_batch)
+    indices = sample_task_indices(task_set.probabilities, k, task_rng)
+    task_batch = _fresh_batches(task_set, clouds, transform_rng)
+    return _meta_step(params, labels, indices, eta, task_batch)
 
 
 def meta_validate(params, task_set, clouds, labels, rng):
@@ -181,13 +192,37 @@ def meta_validate(params, task_set, clouds, labels, rng):
     draws (task major, cloud minor). Returns (losses, accuracies), one entry
     per task.
     """
-    losses, accuracies = [], []
-    for spec in task_set.transforms:
-        corrupted = [apply_transform(spec, c, rng) for c in clouds]
-        loss, acc = network.evaluate(params, corrupted, labels)
-        losses.append(loss)
-        accuracies.append(acc)
-    return np.array(losses), np.array(accuracies)
+    return _score(params, (_corrupt(spec, clouds, rng) for spec in task_set.transforms), labels)
+
+
+def _score(params, task_clouds, labels):
+    """(losses, accuracies) of params, one entry per task's clouds."""
+    scores = [network.evaluate(params, clouds, labels) for clouds in task_clouds]
+    return np.array([loss for loss, _ in scores]), np.array([acc for _, acc in scores])
+
+
+def _task_source(cached, task_set, train_clouds, val_clouds, val_labels, streams):
+    """(step_batches, validate) for train: fresh draws each time, or drawn once up front."""
+    if cached:
+        rng = streams["transform"]
+        train_cache = [_corrupt(spec, train_clouds, rng) for spec in task_set.transforms]
+        val_cache = [_corrupt(spec, val_clouds, rng) for spec in task_set.transforms]
+        return (
+            lambda idx: lambda t: [train_cache[t][i] for i in idx],
+            lambda p: _score(p, val_cache, val_labels),
+        )
+    return (
+        lambda idx: _fresh_batches(task_set, [train_clouds[i] for i in idx], streams["transform"]),
+        lambda p: meta_validate(p, task_set, val_clouds, val_labels, streams["validate"]),
+    )
+
+
+def _draw_one_uniform(probabilities, k, rng):
+    return [int(rng.integers(len(probabilities)))]
+
+
+def _draw_raw(probabilities, k, rng):
+    return [None]
 
 
 @dataclass
@@ -244,12 +279,12 @@ def _streams(seed):
 def train(config, train_set, val_set, task_set, mode=MODE_METASETS, step_callback=None):
     """Run one training mode to convergence or the epoch cap.
 
-    Modes: "metasets" is the full loop above; "none" is plain Adam on the
-    raw source batches; "augment" corrupts each batch with one uniformly
-    random task and takes a plain step (no inner loop); "no-soft-sampling"
-    is the full loop with probabilities frozen uniform; "static-transform"
-    is the full loop with every task's dynamic draws made once per cloud up
-    front and reused every epoch.
+    All modes share one loop; the mode is read once, before it, as four
+    settings: the tasks a step draws (k by weight, one uniform task, or the
+    raw batch), soft or frozen weights, the inner rate (0 turns the inner
+    step off) and fresh or cached task batches. Fresh task batches and
+    validation sets take new dynamic draws each time; cached ones are drawn
+    once per cloud up front and reused every epoch.
 
     Training stops early once every per-task validation loss falls below
     config.epsilon. step_callback(step_index, params), when given, runs
@@ -271,16 +306,12 @@ def train(config, train_set, val_set, task_set, mode=MODE_METASETS, step_callbac
     params = network.init_params(class_count, streams["init"])
     adam = network.init_adam(params)
     probabilities = np.asarray(task_set.probabilities, dtype=np.float64).copy()
-
-    static_train = static_val = None
-    if mode == MODE_STATIC:
-        rng = streams["transform"]
-        static_train = [
-            [apply_transform(spec, c, rng) for c in train_clouds] for spec in task_set.transforms
-        ]
-        static_val = [
-            [apply_transform(spec, c, rng) for c in val_clouds] for spec in task_set.transforms
-        ]
+    draw = {MODE_NONE: _draw_raw, MODE_AUGMENT: _draw_one_uniform}.get(mode, sample_task_indices)
+    soft = mode in (MODE_METASETS, MODE_STATIC)
+    eta = 0.0 if mode in (MODE_NONE, MODE_AUGMENT) else config.eta
+    step_batches, validate = _task_source(
+        mode == MODE_STATIC, task_set, train_clouds, val_clouds, val_labels, streams
+    )
 
     history = []
     converged = False
@@ -290,51 +321,17 @@ def train(config, train_set, val_set, task_set, mode=MODE_METASETS, step_callbac
         step_losses = []
         for lo in range(0, len(order), config.batch_size):
             batch_idx = order[lo : lo + config.batch_size]
-            clouds = [train_clouds[i] for i in batch_idx]
+            indices = draw(probabilities, config.tasks_per_step, streams["tasks"])
             labels = train_labels[batch_idx]
-            if mode == MODE_NONE:
-                loss, grads = network.loss_and_grad(params, clouds, labels)
-            elif mode == MODE_AUGMENT:
-                t = int(streams["tasks"].integers(n_tasks))
-                spec = task_set.transforms[t]
-                corrupted = [apply_transform(spec, c, streams["transform"]) for c in clouds]
-                loss, grads = network.loss_and_grad(params, corrupted, labels)
-            else:
-                if mode == MODE_STATIC:
-                    task_batch = lambda t: [static_train[t][i] for i in batch_idx]
-                else:
-                    task_batch = lambda t: [
-                        apply_transform(task_set.transforms[t], c, streams["transform"])
-                        for c in clouds
-                    ]
-                result = _meta_step(
-                    params,
-                    probabilities,
-                    labels,
-                    config.tasks_per_step,
-                    config.eta,
-                    streams["tasks"],
-                    task_batch,
-                )
-                loss, grads = result.loss, result.grads
-            adam, params = network.adam_step(adam, params, grads, config.beta)
+            result = _meta_step(params, labels, indices, eta, step_batches(batch_idx))
+            adam, params = network.adam_step(adam, params, result.grads, config.beta)
             step_index += 1
-            step_losses.append(loss)
+            step_losses.append(result.loss)
             if step_callback is not None:
                 step_callback(step_index, params)
 
-        if mode == MODE_STATIC:
-            val_losses, val_accuracies = [], []
-            for t in range(n_tasks):
-                loss, acc = network.evaluate(params, static_val[t], val_labels)
-                val_losses.append(loss)
-                val_accuracies.append(acc)
-            val_losses, val_accuracies = np.array(val_losses), np.array(val_accuracies)
-        else:
-            val_losses, val_accuracies = meta_validate(
-                params, task_set, val_clouds, val_labels, streams["validate"]
-            )
-        if mode in (MODE_METASETS, MODE_STATIC) and n_tasks >= 2:
+        val_losses, val_accuracies = validate(params)
+        if soft and n_tasks >= 2:
             probabilities = update_probabilities(val_losses)
         history.append(
             EpochRecord(
@@ -385,15 +382,7 @@ def build_summary(config, mode, task_set, result):
         "final_val_accuracies": [float(v) for v in final.val_accuracies],
         "final_probabilities": [float(v) for v in final.probabilities],
         "tasks": [{"kind": s.kind, "value": s.value} for s in task_set.transforms],
-        "config": {
-            "seed": config.seed,
-            "batch_size": config.batch_size,
-            "tasks_per_step": config.tasks_per_step,
-            "eta": config.eta,
-            "beta": config.beta,
-            "epsilon": config.epsilon,
-            "max_epochs": config.max_epochs,
-        },
+        "config": asdict(config),
     }
 
 

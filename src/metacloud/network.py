@@ -95,7 +95,7 @@ def forward(params, points):
     return _forward_packed(params, pts, starts)[-1][0]
 
 
-def _cross_entropy(logits, labels):
+def cross_entropy(logits, labels):
     """Mean cross entropy and the softmax matrix (stable log-sum-exp)."""
     shift = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shift)
@@ -109,7 +109,7 @@ def loss_batch(params, clouds, labels):
     """Mean cross entropy of the batch."""
     labels = np.asarray(labels)
     logits = logits_batch(params, clouds)
-    return float(_cross_entropy(logits, labels)[0])
+    return float(cross_entropy(logits, labels)[0])
 
 
 def loss_and_grad(params, clouds, labels):
@@ -121,7 +121,7 @@ def loss_and_grad(params, clouds, labels):
     labels = np.asarray(labels)
     pts, starts = _pack(list(clouds))
     h1, h2, h3, pooled, h4, logits = _forward_packed(params, pts, starts)
-    loss, softmax = _cross_entropy(logits, labels)
+    loss, softmax = cross_entropy(logits, labels)
     batch = len(labels)
 
     d_logits = softmax.copy()
@@ -164,7 +164,7 @@ def evaluate(params, clouds, labels):
     """Mean cross entropy and accuracy over a labeled cloud list."""
     labels = np.asarray(labels)
     logits = logits_batch(params, clouds)
-    loss, _ = _cross_entropy(logits, labels)
+    loss, _ = cross_entropy(logits, labels)
     accuracy = float((logits.argmax(axis=1) == labels).mean())
     return float(loss), accuracy
 
@@ -242,29 +242,37 @@ def save_checkpoint(path, params, adam_state, class_names):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (params, adam_state, class_names)."""
+    """Read a checkpoint; returns (params, adam_state, class_names).
+
+    A file that is not a whole checkpoint of this version raises ValueError
+    with the path in its message.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
-        (header_len,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(header_len).decode())
-        if header["version"] != CHECKPOINT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {header['version']}")
+        size = fh.read(4)
+        if len(size) != 4:
+            raise ValueError(f"{path}: truncated checkpoint")
+        (header_len,) = struct.unpack("<I", size)
+        try:
+            header = json.loads(fh.read(header_len).decode())
+            if header["version"] != CHECKPOINT_VERSION:
+                raise ValueError(f"unsupported checkpoint version {header['version']}")
+            adam = {key: header["adam"][key] for key in ("step", "beta1", "beta2", "eps")}
+            shapes = {name: [int(n) for n in shape] for name, shape in header["arrays"]}
+            class_names = list(header["class_names"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: bad checkpoint header ({exc!r})") from None
         groups = {"param": {}, "adam_m": {}, "adam_v": {}}
-        for name, shape in header["arrays"]:
-            count = int(np.prod(shape)) if shape else 1
+        if list(shapes) != [f"{group}/{key}" for group in groups for key in PARAM_KEYS]:
+            raise ValueError(f"{path}: checkpoint does not hold the expected arrays")
+        for name, shape in shapes.items():
+            count = int(np.prod(shape))
             buf = fh.read(count * 8)
             if len(buf) != count * 8:
                 raise ValueError(f"{path}: truncated checkpoint")
             group, key = name.split("/")
             groups[group][key] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-    adam = AdamState(
-        m=groups["adam_m"],
-        v=groups["adam_v"],
-        step=header["adam"]["step"],
-        beta1=header["adam"]["beta1"],
-        beta2=header["adam"]["beta2"],
-        eps=header["adam"]["eps"],
-    )
-    return groups["param"], adam, header["class_names"]
+    adam_state = AdamState(m=groups["adam_m"], v=groups["adam_v"], **adam)
+    return groups["param"], adam_state, class_names

@@ -442,7 +442,7 @@ def test_dynamic_draws_beat_static_copies(static_benchmark):
 # --- criterion 10: repeated training runs are byte-identical ---
 
 
-def test_cli_training_is_deterministic(tmp_path):
+def test_cli_training_is_deterministic(tmp_path, child_env):
     dataset_dir = tmp_path / "clouds"
     rc = cli.main([
         "generate", "--classes", "2", "--per-class", "9", "--points", "64",
@@ -466,6 +466,7 @@ def test_cli_training_is_deterministic(tmp_path):
             ],
             capture_output=True,
             text=True,
+            env=child_env,
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append({

@@ -2,7 +2,6 @@
 
 import importlib.metadata
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +9,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import metacloud
 from metacloud import data
 from metacloud.cli import ConfigError, main, read_config
 from metacloud.geometry import PointCloud
@@ -150,6 +148,10 @@ def test_transform_file_errors(tmp_path):
                     "--out", out, str(bad)]) == 3
     assert run_cli(["transform", "--kind", "dropping", "--x", "20", "--seed", "0",
                     "--out", out, str(tmp_path / "missing.txt")]) == 4
+    nan = tmp_path / "nan.txt"
+    nan.write_text("2 0\n0 0 0\nnan 0 0\n")
+    assert run_cli(["transform", "--kind", "dropping", "--x", "20", "--seed", "0",
+                    "--out", out, str(nan)]) == 3
 
 
 # --------------------------------------------------------------------- config
@@ -289,15 +291,22 @@ def test_eval_rejects_mismatched_dataset(trained_dir, tmp_path):
                     "--manifest", str(other)]) == 4
 
 
+def test_eval_rejects_corrupt_checkpoint(bench_dir, tmp_path, capsys):
+    bad = tmp_path / "cut.ckpt"
+    bad.write_bytes(b"MCC\x01\x05")
+    assert run_cli(["eval", "--checkpoint", str(bad), "--manifest", str(bench_dir)]) == 4
+    assert f"error: {bad}: truncated checkpoint" in capsys.readouterr().err
+
+
 # -------------------------------------------------------------- entry points
 
 
-def test_module_entry_point(tmp_path):
+def test_module_entry_point(tmp_path, child_env):
     out = tmp_path / "m"
     proc = subprocess.run(
         [sys.executable, "-m", "metacloud", "generate", "--classes", "2",
          "--per-class", "1", "--points", "64", "--seed", "0", "--out", str(out)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=child_env,
     )
     assert proc.returncode == 0, proc.stderr
     assert "wrote 2 clouds" in proc.stdout
@@ -323,20 +332,17 @@ def console_script_target(name):
         return tomllib.load(fh)["project"]["scripts"][name]
 
 
-def test_console_script_usage_error(tmp_path):
+def test_console_script_usage_error(tmp_path, child_env):
     # Run the entry point the way the wrapper that `pip install` writes does,
     # so the test needs no install. The child imports the same metacloud as
     # this process, and writes any stray output into tmp_path.
     module, _, func = console_script_target("metacloud").partition(":")
     wrapper = (f"import sys\nfrom {module} import {func}\n"
                f"sys.argv[0] = 'metacloud'\nsys.exit({func}())")
-    package_root = str(Path(metacloud.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-c", wrapper,
          "transform", "--kind", "density", "--seed", "0", "--out", "x"],
-        capture_output=True, text=True, cwd=tmp_path, env=env, timeout=120,
+        capture_output=True, text=True, cwd=tmp_path, env=child_env, timeout=120,
     )
     assert proc.returncode == 2
     assert "FILE" in proc.stderr or "usage" in proc.stderr.lower()

@@ -290,6 +290,17 @@ def test_load_cloud_reports_file_and_line(tmp_path):
     with pytest.raises(DatasetFormatError, match="empty"):
         load_cloud(empty)
 
+    blank_then_bad = tmp_path / "b.txt"
+    blank_then_bad.write_text("2 0\n\n0 0 0\n\n1 one 1\n")
+    with pytest.raises(DatasetFormatError, match=r"b\.txt:5: bad float"):
+        load_cloud(blank_then_bad)
+
+    for name, value in (("nan", "nan"), ("inf", "-inf")):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(f"3 0\n0 0 0\n\n1 1 1\n0.5 {value} 0\n")
+        with pytest.raises(DatasetFormatError, match=rf"{name}\.txt:5: .*finite"):
+            load_cloud(path)
+
 
 # -------------------------------------------------------------- dataset on disk
 

@@ -384,6 +384,44 @@ def test_train_metasets_collapses_to_none_under_identity_tasks():
         np.testing.assert_array_equal(a.params[key], b.params[key])
 
 
+@pytest.mark.parametrize(
+    "mode, eta, per_step",
+    [
+        (MODE_NONE, 0.01, 1),
+        (MODE_AUGMENT, 0.01, 1),
+        (MODE_METASETS, 0.01, 2 * 3),
+        (MODE_METASETS, 0.0, 3),
+    ],
+)
+def test_train_gradients_per_outer_step(monkeypatch, mode, eta, per_step):
+    """k = 3 tasks take 2k gradients with the inner step on and k at eta 0."""
+    counts = {"grads": 0, "transforms": 0}
+    real_grad, real_transform = meta.network.loss_and_grad, meta.apply_transform
+
+    def counting_grad(params, clouds, labels):
+        counts["grads"] += 1
+        return real_grad(params, clouds, labels)
+
+    def counting_transform(spec, points, rng):
+        counts["transforms"] += 1
+        return real_transform(spec, points, rng)
+
+    monkeypatch.setattr(meta.network, "loss_and_grad", counting_grad)
+    monkeypatch.setattr(meta, "apply_transform", counting_transform)
+    seen = []
+    train(
+        quick_config(tasks_per_step=3, eta=eta, max_epochs=1),
+        toy_dataset(36),  # 12 items, batch 6 -> 2 steps; validation runs after both
+        toy_dataset(37),
+        build_task_set("paper"),
+        mode=mode,
+        step_callback=lambda i, p: seen.append(dict(counts)),
+    )
+    assert [c["grads"] for c in seen] == [per_step, 2 * per_step]
+    if mode == MODE_NONE:
+        assert [c["transforms"] for c in seen] == [0, 0]
+
+
 # ----------------------------------------------------------------- run outputs
 
 

@@ -1,5 +1,9 @@
 """Unit tests for the point classifier: forward, gradients, optimizers, checkpoints."""
 
+import json
+import re
+import struct
+
 import numpy as np
 import pytest
 
@@ -294,3 +298,24 @@ def test_checkpoint_rejects_corruption(tmp_path):
     truncated.write_bytes(blob[: len(blob) // 2])
     with pytest.raises(ValueError):
         load_checkpoint(truncated)
+
+    (size,) = struct.unpack("<I", blob[4:8])
+    header = json.loads(blob[8 : 8 + size])
+    bad_headers = {
+        "no_version": {k: v for k, v in header.items() if k != "version"},
+        "no_adam": {k: v for k, v in header.items() if k != "adam"},
+        "no_arrays": {k: v for k, v in header.items() if k != "arrays"},
+        "no_adam_eps": dict(header, adam={k: v for k, v in header["adam"].items() if k != "eps"}),
+        "missing_array": dict(header, arrays=header["arrays"][1:]),
+        "version_2": dict(header, version=2),
+        "not_a_dict": [header],
+    }
+    files = {"header_cut": b"MCC\x01\x05", "json_cut": blob[:20]}
+    for name, bad in bad_headers.items():
+        text = json.dumps(bad).encode()
+        files[name] = blob[:4] + struct.pack("<I", len(text)) + text + blob[8 + size :]
+    for name, content in files.items():
+        path = tmp_path / f"{name}.ckpt"
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_checkpoint(path)
