@@ -62,7 +62,6 @@ class Dataset:
 
     items: list
     class_names: list
-    split: str = "full"
 
     def points_and_labels(self):
         clouds = [item.points for item in self.items]
@@ -180,7 +179,7 @@ def generate_synthetic_dataset(families, per_class, seed, points=None):
             yaw = rng.uniform(0.0, 2.0 * np.pi)
             pts = (pts * aspect * scale) @ _yaw_matrix(yaw).T
             items.append(PointCloud(normalize_unit_ball(pts), label))
-    return Dataset(items=items, class_names=names, split="full")
+    return Dataset(items=items, class_names=names)
 
 
 def split_train_val(dataset, seed):
@@ -235,12 +234,10 @@ def split_train_val(dataset, seed):
     train = Dataset(
         items=[dataset.items[i] for i in sorted(train_idx)],
         class_names=list(dataset.class_names),
-        split="train",
     )
     val = Dataset(
         items=[dataset.items[i] for i in sorted(val_idx)],
         class_names=list(dataset.class_names),
-        split="val",
     )
     return train, val
 
@@ -271,7 +268,7 @@ def build_target_domain(dataset, cell_size, drop_percent, seed, forbid=()):
         for spec in stages:
             pts = apply_transform(spec, pts, rng)
         items.append(PointCloud(pts, item.label))
-    return Dataset(items=items, class_names=list(dataset.class_names), split="target")
+    return Dataset(items=items, class_names=list(dataset.class_names))
 
 
 def save_cloud(path, cloud):
@@ -282,16 +279,25 @@ def save_cloud(path, cloud):
     """
     pts = cloud.points
     lines = [f"{len(pts)} {cloud.label}"]
-    for x, y, z in pts:
-        lines.append(f"{float(x)!r} {float(y)!r} {float(z)!r}")
+    for x, y, z in pts.tolist():
+        lines.append(f"{x!r} {y!r} {z!r}")
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _read_text(path):
+    """A file's UTF-8 text; other bytes raise DatasetFormatError with file:line."""
+    raw = path.read_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise DatasetFormatError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
 
 
 def load_cloud(path):
     """Read one cloud file, validating the header count against the body."""
     path = Path(path)
-    text = path.read_text()
-    lines = text.splitlines()
+    lines = _read_text(path).splitlines()
     if not lines or not lines[0].strip():
         raise DatasetFormatError(f"{path}:1: empty cloud file")
     head = lines[0].split()
@@ -303,24 +309,33 @@ def load_cloud(path):
         raise DatasetFormatError(f"{path}:1: header must hold two integers") from None
     if n < 1 or label < 0:
         raise DatasetFormatError(f"{path}:1: need n >= 1 and label >= 0")
-    body = [(lineno, ln) for lineno, ln in enumerate(lines[1:], start=2) if ln.strip()]
-    if len(body) != n:
+    rows = list(filter(None, map(str.split, lines[1:])))
+    if len(rows) != n:
         raise DatasetFormatError(
-            f"{path}:{len(lines)}: header says {n} points, file holds {len(body)}"
+            f"{path}:{len(lines)}: header says {n} points, file holds {len(rows)}"
         )
-    pts = np.empty((n, 3))
-    for i, (lineno, line) in enumerate(body):
-        fields = line.split()
-        if len(fields) != 3:
-            raise DatasetFormatError(f"{path}:{lineno}: expected 3 coordinates")
-        try:
-            pts[i] = [float(f) for f in fields]
-        except ValueError:
-            raise DatasetFormatError(f"{path}:{lineno}: bad float") from None
+    try:
+        pts = np.array(rows, dtype=np.float64).reshape(n, 3)
+    except ValueError:
+        # Ragged rows or a bad float: parse line by line to name the line.
+        pts = np.empty((n, 3))
+        for i, (lineno, fields) in enumerate(zip(_body_line_numbers(lines), rows)):
+            if len(fields) != 3:
+                raise DatasetFormatError(f"{path}:{lineno}: expected 3 coordinates")
+            try:
+                pts[i] = [float(f) for f in fields]
+            except ValueError:
+                raise DatasetFormatError(f"{path}:{lineno}: bad float") from None
     bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
     if len(bad):
-        raise DatasetFormatError(f"{path}:{body[bad[0]][0]}: coordinates must be finite")
+        lineno = _body_line_numbers(lines)[bad[0]]
+        raise DatasetFormatError(f"{path}:{lineno}: coordinates must be finite")
     return PointCloud(pts, label)
+
+
+def _body_line_numbers(lines):
+    """1-based line numbers of the non-blank lines after a cloud file's header."""
+    return [lineno for lineno, line in enumerate(lines[1:], start=2) if line.strip()]
 
 
 def save_dataset(dataset, out_dir):
@@ -360,7 +375,7 @@ def load_dataset(path):
     if path.is_file():
         base = path.parent
         rows = []
-        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+        for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
             if not line.strip():
                 continue
             fields = line.split()
@@ -385,4 +400,4 @@ def load_dataset(path):
     for rel, name in rows:
         cloud = load_cloud(base / rel)
         items.append(PointCloud(cloud.points, label_of[name]))
-    return Dataset(items=items, class_names=class_names, split="full")
+    return Dataset(items=items, class_names=class_names)

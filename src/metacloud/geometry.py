@@ -174,12 +174,19 @@ def viewing_frame(direction):
     if norm < 1e-12:
         raise ValueError("view direction must be nonzero")
     v = v / norm
-    axis = np.zeros(3)
-    axis[np.argmin(np.abs(v))] = 1.0
-    u = np.cross(axis, v)
+    axis = [0.0, 0.0, 0.0]
+    axis[int(np.argmin(np.abs(v)))] = 1.0
+    u = np.array(_cross(axis, v.tolist()))
     u = u / np.linalg.norm(u)
-    w = np.cross(v, u)
+    w = np.array(_cross(v.tolist(), u.tolist()))
     return u, w, v
+
+
+def _cross(a, b):
+    """a x b for two 3-sequences of floats, with np.cross's formula and rounding."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
 
 
 def self_occlude(points, direction, cell_size):

@@ -5,6 +5,14 @@ coordinate-wise max pooling over the points of each cloud, then a head
 256 -> 128 -> C with one ReLU. Gradients are hand-derived reverse mode; the
 max pool routes each feature's gradient to the lowest-index point attaining
 the maximum. No normalization layers, no dropout, no input alignment.
+
+Clouds go through the network packed into one (total, 3) block. When every
+cloud of a pack has the same size n, the pool and its backward work on the
+(clouds, n, features) reshape of the last layer; a pack of mixed sizes pools
+each segment with `np.maximum.reduceat`. Both give the same bits: a maximum
+does not depend on the order it is taken in, and both backwards route ties
+to the lowest index. Bias adds, ReLUs and ReLU masks run in place on the
+matmul results, with the same arithmetic as fresh arrays would get.
 """
 
 import json
@@ -24,6 +32,16 @@ CHECKPOINT_VERSION = 1
 EVAL_CHUNK = 256
 
 
+def param_shapes(class_count):
+    """Shape of every parameter of a class_count-way classifier, PARAM_KEYS order."""
+    widths = POINT_SIZES + (HEAD_HIDDEN, class_count)
+    shapes = {}
+    for layer in range(1, len(widths)):
+        shapes[f"w{layer}"] = (widths[layer - 1], widths[layer])
+        shapes[f"b{layer}"] = (widths[layer],)
+    return shapes
+
+
 def init_params(class_count, rng):
     """Create the parameter dict for a class_count-way classifier.
 
@@ -33,22 +51,13 @@ def init_params(class_count, rng):
     """
     if class_count < 2:
         raise ValueError(f"need at least 2 classes, got {class_count}")
-    dims = {
-        "w1": (3, 64),
-        "w2": (64, 128),
-        "w3": (128, 256),
-        "w4": (256, HEAD_HIDDEN),
-        "w5": (HEAD_HIDDEN, class_count),
-    }
     params = {}
-    for key in PARAM_KEYS:
+    for key, shape in param_shapes(class_count).items():
         if key.startswith("w"):
-            fan_in, fan_out = dims[key]
-            bound = 1.0 / np.sqrt(fan_in)
-            params[key] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
+            bound = 1.0 / np.sqrt(shape[0])
+            params[key] = rng.uniform(-bound, bound, size=shape)
         else:
-            fan_out = dims["w" + key[1]][1]
-            params[key] = np.zeros(fan_out)
+            params[key] = np.zeros(shape)
     return params
 
 
@@ -57,7 +66,11 @@ def class_count_of(params):
 
 
 def _pack(clouds):
-    """Concatenate clouds into one (total, 3) block plus segment starts."""
+    """Concatenate clouds into one (total, 3) block.
+
+    Returns (packed, starts, width): the segment starts, and the size every
+    cloud shares, or None when the sizes differ.
+    """
     sizes = []
     for pts in clouds:
         if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] == 0:
@@ -65,17 +78,29 @@ def _pack(clouds):
         sizes.append(pts.shape[0])
     packed = np.concatenate(clouds, axis=0).astype(np.float64, copy=False)
     starts = np.concatenate(([0], np.cumsum(sizes)[:-1])).astype(np.intp)
-    return packed, starts
+    width = sizes[0] if sizes.count(sizes[0]) == len(sizes) else None
+    return packed, starts, width
 
 
-def _forward_packed(params, pts, starts):
+def _dense_relu(x, w, b):
+    """ReLU(x @ w + b), adding the bias and clipping in the matmul's output."""
+    z = x @ w
+    z += b
+    return np.maximum(z, 0.0, out=z)
+
+
+def _forward_packed(params, pts, starts, width):
     """Run the network on packed points; returns activations for backprop."""
-    h1 = np.maximum(pts @ params["w1"] + params["b1"], 0.0)
-    h2 = np.maximum(h1 @ params["w2"] + params["b2"], 0.0)
-    h3 = np.maximum(h2 @ params["w3"] + params["b3"], 0.0)
-    pooled = np.maximum.reduceat(h3, starts, axis=0)
-    h4 = np.maximum(pooled @ params["w4"] + params["b4"], 0.0)
-    logits = h4 @ params["w5"] + params["b5"]
+    h1 = _dense_relu(pts, params["w1"], params["b1"])
+    h2 = _dense_relu(h1, params["w2"], params["b2"])
+    h3 = _dense_relu(h2, params["w3"], params["b3"])
+    if width is None:
+        pooled = np.maximum.reduceat(h3, starts, axis=0)
+    else:
+        pooled = h3.reshape(len(starts), width, -1).max(axis=1)
+    h4 = _dense_relu(pooled, params["w4"], params["b4"])
+    logits = h4 @ params["w5"]
+    logits += params["b5"]
     return h1, h2, h3, pooled, h4, logits
 
 
@@ -84,15 +109,13 @@ def logits_batch(params, clouds):
     out = []
     for lo in range(0, len(clouds), EVAL_CHUNK):
         chunk = list(clouds[lo : lo + EVAL_CHUNK])
-        pts, starts = _pack(chunk)
-        out.append(_forward_packed(params, pts, starts)[-1])
+        out.append(_forward_packed(params, *_pack(chunk))[-1])
     return np.concatenate(out, axis=0)
 
 
 def forward(params, points):
     """Logits for a single cloud, shape (C,)."""
-    pts, starts = _pack([np.asarray(points, dtype=np.float64)])
-    return _forward_packed(params, pts, starts)[-1][0]
+    return _forward_packed(params, *_pack([np.asarray(points, dtype=np.float64)]))[-1][0]
 
 
 def cross_entropy(logits, labels):
@@ -119,8 +142,8 @@ def loss_and_grad(params, clouds, labels):
         (loss, grads) where grads has the same keys and shapes as params.
     """
     labels = np.asarray(labels)
-    pts, starts = _pack(list(clouds))
-    h1, h2, h3, pooled, h4, logits = _forward_packed(params, pts, starts)
+    pts, starts, width = _pack(list(clouds))
+    h1, h2, h3, pooled, h4, logits = _forward_packed(params, pts, starts, width)
     loss, softmax = cross_entropy(logits, labels)
     batch = len(labels)
 
@@ -132,7 +155,7 @@ def loss_and_grad(params, clouds, labels):
     grads["w5"] = h4.T @ d_logits
     grads["b5"] = d_logits.sum(axis=0)
     d_h4 = d_logits @ params["w5"].T
-    d_z4 = d_h4 * (h4 > 0.0)
+    d_z4 = np.multiply(d_h4, h4 > 0.0, out=d_h4)
     grads["w4"] = pooled.T @ d_z4
     grads["b4"] = d_z4.sum(axis=0)
     d_pooled = d_z4 @ params["w4"].T
@@ -140,21 +163,25 @@ def loss_and_grad(params, clouds, labels):
     # Max pool: each feature's gradient goes to the first point attaining
     # the segment maximum; argmax takes the lowest index on ties.
     d_h3 = np.zeros_like(h3)
-    ends = np.concatenate((starts[1:], [len(pts)]))
     cols = np.arange(h3.shape[1])
-    for i in range(batch):
-        seg = h3[starts[i] : ends[i]]
-        d_h3[starts[i] + seg.argmax(axis=0), cols] = d_pooled[i]
+    if width is None:
+        ends = np.concatenate((starts[1:], [len(pts)]))
+        for i in range(batch):
+            seg = h3[starts[i] : ends[i]]
+            d_h3[starts[i] + seg.argmax(axis=0), cols] = d_pooled[i]
+    else:
+        winners = h3.reshape(batch, width, -1).argmax(axis=1)
+        d_h3[starts[:, None] + winners, cols] = d_pooled
 
-    d_z3 = d_h3 * (h3 > 0.0)
+    d_z3 = np.multiply(d_h3, h3 > 0.0, out=d_h3)
     grads["w3"] = h2.T @ d_z3
     grads["b3"] = d_z3.sum(axis=0)
     d_h2 = d_z3 @ params["w3"].T
-    d_z2 = d_h2 * (h2 > 0.0)
+    d_z2 = np.multiply(d_h2, h2 > 0.0, out=d_h2)
     grads["w2"] = h1.T @ d_z2
     grads["b2"] = d_z2.sum(axis=0)
     d_h1 = d_z2 @ params["w2"].T
-    d_z1 = d_h1 * (h1 > 0.0)
+    d_z1 = np.multiply(d_h1, h1 > 0.0, out=d_h1)
     grads["w1"] = pts.T @ d_z1
     grads["b1"] = d_z1.sum(axis=0)
     return float(loss), {key: grads[key] for key in PARAM_KEYS}
@@ -267,12 +294,18 @@ def load_checkpoint(path):
         groups = {"param": {}, "adam_m": {}, "adam_v": {}}
         if list(shapes) != [f"{group}/{key}" for group in groups for key in PARAM_KEYS]:
             raise ValueError(f"{path}: checkpoint does not hold the expected arrays")
+        expected = param_shapes(len(class_names))
         for name, shape in shapes.items():
+            group, key = name.split("/")
+            if shape != list(expected[key]):
+                raise ValueError(
+                    f"{path}: array {name} has shape {shape}, expected"
+                    f" {list(expected[key])} for {len(class_names)} classes"
+                )
             count = int(np.prod(shape))
             buf = fh.read(count * 8)
             if len(buf) != count * 8:
                 raise ValueError(f"{path}: truncated checkpoint")
-            group, key = name.split("/")
             groups[group][key] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
     adam_state = AdamState(m=groups["adam_m"], v=groups["adam_v"], **adam)
     return groups["param"], adam_state, class_names

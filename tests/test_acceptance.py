@@ -269,7 +269,7 @@ def transformed_copy(dataset, spec, rng, replicas):
         for _ in range(replicas)
         for item in dataset.items
     ]
-    return data.Dataset(items, list(dataset.class_names), dataset.split)
+    return data.Dataset(items, list(dataset.class_names))
 
 
 def test_degradation_and_recovery_curve():

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from metacloud import data
+from metacloud import data, network
 from metacloud.cli import ConfigError, main, read_config
 from metacloud.geometry import PointCloud
 
@@ -140,7 +140,7 @@ def test_transform_flag_pairing_enforced(cloud_file, tmp_path):
                     "--out", out, str(cloud_file)]) == 2
 
 
-def test_transform_file_errors(tmp_path):
+def test_transform_file_errors(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("not a header\n")
     out = str(tmp_path / "o")
@@ -152,6 +152,11 @@ def test_transform_file_errors(tmp_path):
     nan.write_text("2 0\n0 0 0\nnan 0 0\n")
     assert run_cli(["transform", "--kind", "dropping", "--x", "20", "--seed", "0",
                     "--out", out, str(nan)]) == 3
+    utf16 = tmp_path / "utf16.txt"
+    utf16.write_bytes(b"\xff\xfe1\x00 \x000\x00")
+    assert run_cli(["transform", "--kind", "dropping", "--x", "20", "--seed", "0",
+                    "--out", out, str(utf16)]) == 3
+    assert f"error: {utf16}:1: not UTF-8" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------- config
@@ -296,6 +301,17 @@ def test_eval_rejects_corrupt_checkpoint(bench_dir, tmp_path, capsys):
     bad.write_bytes(b"MCC\x01\x05")
     assert run_cli(["eval", "--checkpoint", str(bad), "--manifest", str(bench_dir)]) == 4
     assert f"error: {bad}: truncated checkpoint" in capsys.readouterr().err
+
+
+def test_eval_rejects_checkpoint_of_wrong_shape(bench_dir, tmp_path, capsys):
+    """A checkpoint whose arrays do not fit the architecture exits 4, naming the array."""
+    rng = np.random.default_rng(0)
+    params = network.init_params(3, rng)
+    params["w1"] = params["w1"].T.copy()
+    path = tmp_path / "w1.ckpt"
+    network.save_checkpoint(path, params, network.init_adam(params), ["cone", "cube", "cylinder"])
+    assert run_cli(["eval", "--checkpoint", str(path), "--manifest", str(bench_dir)]) == 4
+    assert f"error: {path}: array param/w1 has shape [64, 3]" in capsys.readouterr().err
 
 
 # -------------------------------------------------------------- entry points

@@ -152,7 +152,6 @@ def test_split_600_into_500_and_100():
     train, val = split_train_val(ds, seed=2)
     assert len(train.items) == 500
     assert len(val.items) == 100
-    assert train.split == "train" and val.split == "val"
     val_labels = [item.label for item in val.items]
     assert np.bincount(val_labels).tolist() == [20] * 5
 
@@ -213,7 +212,6 @@ def test_split_warns_on_tiny_class(caplog):
 def test_build_target_domain_applies_both_stages():
     ds = generate_synthetic_dataset(default_families(points=256), per_class=2, seed=12)
     target = build_target_domain(ds, cell_size=0.25, drop_percent=30.0, seed=13)
-    assert target.split == "target"
     assert [i.label for i in target.items] == [i.label for i in ds.items]
     for src, dst in zip(ds.items, target.items):
         assert len(dst.points) < len(src.points)
@@ -252,12 +250,18 @@ def test_build_target_domain_rejects_training_collision():
 
 def test_cloud_file_roundtrip_exact(tmp_path):
     rng = np.random.default_rng(20)
-    cloud = PointCloud(rng.standard_normal((17, 3)), 2)
+    pts = rng.standard_normal((17, 3))
+    tiny = np.finfo(np.float64).smallest_subnormal
+    pts[3] = [-0.0, 0.0, -0.0]
+    pts[7] = [tiny, -tiny, 3.0 * tiny]
+    pts[11] = [np.finfo(np.float64).tiny / 3.0, -np.finfo(np.float64).max, 1e-310]
+    cloud = PointCloud(pts, 2)
     path = tmp_path / "c.txt"
     save_cloud(path, cloud)
     back = load_cloud(path)
     assert back.label == 2
-    np.testing.assert_array_equal(back.points, cloud.points)
+    assert back.points.shape == (17, 3)
+    assert back.points.tobytes() == cloud.points.tobytes()
     first = path.read_text().splitlines()[0]
     assert first == "17 2"
     save_cloud(tmp_path / "c2.txt", cloud)
@@ -300,6 +304,21 @@ def test_load_cloud_reports_file_and_line(tmp_path):
         path.write_text(f"3 0\n0 0 0\n\n1 1 1\n0.5 {value} 0\n")
         with pytest.raises(DatasetFormatError, match=rf"{name}\.txt:5: .*finite"):
             load_cloud(path)
+
+    # Six coordinates in all, but split 2 + 4 over the two lines.
+    ragged = tmp_path / "r.txt"
+    ragged.write_text("2 0\n0 0\n1 1 1 1\n")
+    with pytest.raises(DatasetFormatError, match=r"r\.txt:2: expected 3 coordinates"):
+        load_cloud(ragged)
+
+    not_utf8 = tmp_path / "u.txt"
+    not_utf8.write_bytes(b"\xff\xfe1 0\n0 0 0\n")
+    with pytest.raises(DatasetFormatError, match=r"u\.txt:1: not UTF-8"):
+        load_cloud(not_utf8)
+    late_bad_byte = tmp_path / "u3.txt"
+    late_bad_byte.write_bytes(b"2 0\n0 0 0\n1 \xe9 1\n")
+    with pytest.raises(DatasetFormatError, match=r"u3\.txt:3: not UTF-8"):
+        load_cloud(late_bad_byte)
 
 
 # -------------------------------------------------------------- dataset on disk
@@ -358,6 +377,10 @@ def test_load_dataset_errors(tmp_path):
     bad.write_text("only_one_field\n")
     with pytest.raises(DatasetFormatError, match="path name"):
         load_dataset(bad)
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes("a/a.txt a\nb/caf\xe9.txt b\n".encode("latin-1"))
+    with pytest.raises(DatasetFormatError, match=r"latin1\.txt:2: not UTF-8"):
+        load_dataset(latin1)
     bare = tmp_path / "no_classes"
     bare.mkdir()
     with pytest.raises(DatasetFormatError):

@@ -199,6 +199,26 @@ def test_viewing_frame_is_orthonormal():
         np.testing.assert_allclose(np.cross(v, u), w, atol=1e-12)
 
 
+def test_viewing_frame_bits_match_np_cross():
+    """The frame equals, byte for byte, one built with np.cross."""
+
+    def reference(direction):
+        v = direction / np.linalg.norm(direction)
+        axis = np.zeros(3)
+        axis[np.argmin(np.abs(v))] = 1.0
+        u = np.cross(axis, v)
+        u = u / np.linalg.norm(u)
+        return u, np.cross(v, u), v
+
+    rng = np.random.default_rng(16)
+    directions = list(rng.standard_normal((2000, 3)))
+    directions += [sign * np.eye(3)[i] for i in range(3) for sign in (1.0, -1.0)]
+    directions += [np.full(3, 0.5), np.array([-2.0, -2.0, -2.0]), np.array([0.0, -0.0, 1.0])]
+    for direction in directions:
+        got, want = viewing_frame(direction), reference(direction)
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want], direction
+
+
 def test_self_occlude_worked_example():
     """Two depth columns: only the low-depth point of each survives."""
     pts = np.array(

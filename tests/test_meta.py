@@ -40,7 +40,7 @@ def toy_dataset(seed, per_class=4, n_points=16, n_classes=3):
             pts = normalize_unit_ball(rng.standard_normal((n_points, 3)) * stretch)
             items.append(PointCloud(pts, label))
     names = [f"class{label}" for label in range(n_classes)]
-    return Dataset(items=items, class_names=names, split="full")
+    return Dataset(items=items, class_names=names)
 
 
 def identity_task_set(n=1):

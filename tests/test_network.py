@@ -147,16 +147,20 @@ def test_loss_and_grad_loss_matches_loss_batch():
 
 
 def test_gradients_against_central_differences():
-    """Spot-check sampled coordinates of every parameter tensor."""
-    params, clouds, labels = tiny_batch(10)
-    _, grads = loss_and_grad(params, clouds, labels)
-    rng = np.random.default_rng(11)
-    for key in PARAM_KEYS:
-        flat = grads[key].ravel()
-        idx = rng.choice(flat.size, size=min(6, flat.size), replace=False)
-        for i in idx:
-            fd = fd_naive(params, clouds, labels, key, int(i))
-            assert relative_error(fd, flat[i]) < 1e-6, (key, int(i))
+    """Spot-check sampled coordinates of every parameter tensor.
+
+    Run on clouds of mixed sizes and on clouds of one size, which take the
+    two pooling paths.
+    """
+    for params, clouds, labels in (tiny_batch(10), tiny_batch(10, min_pts=9, max_pts=9)):
+        _, grads = loss_and_grad(params, clouds, labels)
+        rng = np.random.default_rng(11)
+        for key in PARAM_KEYS:
+            flat = grads[key].ravel()
+            idx = rng.choice(flat.size, size=min(6, flat.size), replace=False)
+            for i in idx:
+                fd = fd_naive(params, clouds, labels, key, int(i))
+                assert relative_error(fd, flat[i]) < 1e-6, (len(clouds[0]), key, int(i))
 
 
 def test_gradients_invariant_to_point_order():
@@ -171,12 +175,37 @@ def test_gradients_invariant_to_point_order():
 
 
 def test_grad_of_batch_is_mean_of_singles():
-    params, clouds, labels = tiny_batch(13, n_clouds=5)
-    _, g_all = loss_and_grad(params, clouds, labels)
-    singles = [loss_and_grad(params, [c], labels[i : i + 1])[1] for i, c in enumerate(clouds)]
+    for size_range in ((5, 12), (8, 8)):
+        params, clouds, labels = tiny_batch(13, 5, 3, *size_range)
+        _, g_all = loss_and_grad(params, clouds, labels)
+        singles = [loss_and_grad(params, [c], labels[i : i + 1])[1] for i, c in enumerate(clouds)]
+        for key in PARAM_KEYS:
+            want = np.mean([g[key] for g in singles], axis=0)
+            np.testing.assert_allclose(g_all[key], want, rtol=1e-10, atol=1e-14)
+
+
+def test_same_size_pool_routes_like_deduplicated_clouds():
+    """Duplicated points and an all-zero feature leave the gradients alone.
+
+    Every cloud is padded to 9 points by repeating some of its own points,
+    so the batch takes the same-size pool; the deduplicated clouds have
+    sizes 5 to 8 and take the per-segment one. Feature 7 of the last layer
+    is zero at every point, so every point ties for its maximum.
+    """
+    params, uniques, labels = tiny_batch(21, n_clouds=4, min_pts=5, max_pts=8)
+    params["b3"][7] = -1e3
+    rng = np.random.default_rng(22)
+    padded = []
+    for pts in uniques:
+        extra = rng.integers(len(pts), size=9 - len(pts))
+        padded.append(np.concatenate([pts, pts[extra]])[rng.permutation(9)])
+    assert len({len(c) for c in uniques}) > 1
+    loss_a, g_a = loss_and_grad(params, padded, labels)
+    loss_b, g_b = loss_and_grad(params, uniques, labels)
+    np.testing.assert_allclose(loss_a, loss_b, rtol=1e-12)
+    assert (g_a["b3"][7] == 0.0) and (g_a["w3"][:, 7] == 0.0).all()
     for key in PARAM_KEYS:
-        want = np.mean([g[key] for g in singles], axis=0)
-        np.testing.assert_allclose(g_all[key], want, rtol=1e-10, atol=1e-14)
+        np.testing.assert_allclose(g_a[key], g_b[key], rtol=1e-10, atol=1e-15)
 
 
 # --------------------------------------------------------------- optimizers
@@ -309,6 +338,15 @@ def test_checkpoint_rejects_corruption(tmp_path):
         "missing_array": dict(header, arrays=header["arrays"][1:]),
         "version_2": dict(header, version=2),
         "not_a_dict": [header],
+        "w1_transposed": dict(
+            header,
+            arrays=[[name, [64, 3] if name == "param/w1" else shape] for name, shape in header["arrays"]],
+        ),
+        "adam_v_two_classes": dict(
+            header,
+            arrays=[[name, [128, 2] if name == "adam_v/w5" else shape] for name, shape in header["arrays"]],
+        ),
+        "four_class_names": dict(header, class_names=["a", "b", "c", "d"]),
     }
     files = {"header_cut": b"MCC\x01\x05", "json_cut": blob[:20]}
     for name, bad in bad_headers.items():
@@ -319,3 +357,10 @@ def test_checkpoint_rejects_corruption(tmp_path):
         path.write_bytes(content)
         with pytest.raises(ValueError, match=re.escape(str(path))):
             load_checkpoint(path)
+    for name, array in (
+        ("w1_transposed", "param/w1"),
+        ("adam_v_two_classes", "adam_v/w5"),
+        ("four_class_names", "param/w5"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"array {array} has shape")):
+            load_checkpoint(tmp_path / f"{name}.ckpt")
