@@ -19,6 +19,7 @@ from .geometry import (
     PointCloud,
     TransformSpec,
     apply_transform,
+    drop_count,
     normalize_unit_ball,
 )
 
@@ -248,8 +249,11 @@ def build_target_domain(dataset, cell_size, drop_percent, seed, forbid=()):
     Applies occlusion with `cell_size` and then dropping with
     `drop_percent`, fresh dynamic draws per cloud (view direction, then
     anchor index). Either parameter may be None to skip that stage; both
-    None yields an untouched copy. `forbid` lists TransformSpecs whose
-    static values the target must not reuse.
+    None yields an untouched copy. A cloud that dropping cannot thin, one
+    of fewer than 2 points or one it would empty (occlusion can leave 1 or
+    2 points), passes the dropping stage untouched and draws no anchor, so
+    every other cloud gets the draws it would get without it. `forbid`
+    lists TransformSpecs whose static values the target must not reuse.
     """
     for spec in forbid:
         if spec.kind == KIND_OCCLUSION and cell_size == spec.value:
@@ -266,6 +270,9 @@ def build_target_domain(dataset, cell_size, drop_percent, seed, forbid=()):
     for item in dataset.items:
         pts = item.points
         for spec in stages:
+            n = len(pts)
+            if spec.kind == KIND_DROPPING and (n < 2 or drop_count(n, spec.value) >= n):
+                continue
             pts = apply_transform(spec, pts, rng)
         items.append(PointCloud(pts, item.label))
     return Dataset(items=items, class_names=list(dataset.class_names))

@@ -7,12 +7,25 @@ max pool routes each feature's gradient to the lowest-index point attaining
 the maximum. No normalization layers, no dropout, no input alignment.
 
 Clouds go through the network packed into one (total, 3) block. When every
-cloud of a pack has the same size n, the pool and its backward work on the
-(clouds, n, features) reshape of the last layer; a pack of mixed sizes pools
-each segment with `np.maximum.reduceat`. Both give the same bits: a maximum
-does not depend on the order it is taken in, and both backwards route ties
-to the lowest index. Bias adds, ReLUs and ReLU masks run in place on the
-matmul results, with the same arithmetic as fresh arrays would get.
+cloud of a pack has the same size n, the pool works on the (clouds, n,
+features) reshape of the last layer; a pack of mixed sizes pools each
+segment with `np.maximum.reduceat`. Both give the same bits: a maximum does
+not depend on the order it is taken in. Bias adds, ReLUs and ReLU masks run
+in place on the matmul results, with the same arithmetic as fresh arrays
+would get.
+
+The backward is sparse below the pool. Only a point that wins a feature
+whose maximum is positive gets any gradient (the "critical" points of
+PointNet, Qi et al. 2017): a feature that is zero at every point is a closed
+ReLU. The winners come from `argmax` on the reshape or on each segment, are
+gathered once with `np.unique`, and layers 3, 2 and 1 run their backward on
+those rows alone. Their sums then cover fewer rows in another order than a
+dense backward would, so the gradients agree with it to rounding, not bit
+for bit; the same inputs still give the same bits.
+
+The forward for evaluation packs whole clouds until the next one would pass
+EVAL_POINTS rows, which bounds the memory of one pass by points rather than
+by clouds; a cloud larger than the bound goes through alone.
 """
 
 import json
@@ -28,8 +41,10 @@ PARAM_KEYS = ("w1", "b1", "w2", "b2", "w3", "b3", "w4", "b4", "w5", "b5")
 CHECKPOINT_MAGIC = b"MCC\x01"
 CHECKPOINT_VERSION = 1
 
-# How many clouds go through one packed forward pass at a time.
-EVAL_CHUNK = 256
+# How many points go through one packed forward pass at most; a cloud larger
+# than this goes through alone. At 2048 rows one pass's activations take
+# about 7 MB.
+EVAL_POINTS = 2048
 
 
 def param_shapes(class_count):
@@ -106,10 +121,14 @@ def _forward_packed(params, pts, starts, width):
 
 def logits_batch(params, clouds):
     """Logits for a sequence of clouds, shape (len(clouds), C)."""
-    out = []
-    for lo in range(0, len(clouds), EVAL_CHUNK):
-        chunk = list(clouds[lo : lo + EVAL_CHUNK])
-        out.append(_forward_packed(params, *_pack(chunk))[-1])
+    out, chunk, rows = [], [], 0
+    for pts in clouds:
+        if chunk and rows + len(pts) > EVAL_POINTS:
+            out.append(_forward_packed(params, *_pack(chunk))[-1])
+            chunk, rows = [], 0
+        chunk.append(pts)
+        rows += len(pts)
+    out.append(_forward_packed(params, *_pack(chunk))[-1])
     return np.concatenate(out, axis=0)
 
 
@@ -161,19 +180,25 @@ def loss_and_grad(params, clouds, labels):
     d_pooled = d_z4 @ params["w4"].T
 
     # Max pool: each feature's gradient goes to the first point attaining
-    # the segment maximum; argmax takes the lowest index on ties.
-    d_h3 = np.zeros_like(h3)
-    cols = np.arange(h3.shape[1])
+    # the cloud's maximum (argmax takes the lowest index on ties), and only
+    # where that maximum is positive, since a winner's h3 equals pooled and
+    # a zero there is a closed ReLU. No other point gets any gradient, so
+    # layers 3, 2 and 1 run their backward on the winner rows alone.
+    # The argmax runs on where h3 equals its maximum: on floats it would
+    # first copy all of h3 to make the point axis contiguous.
     if width is None:
         ends = np.concatenate((starts[1:], [len(pts)]))
-        for i in range(batch):
-            seg = h3[starts[i] : ends[i]]
-            d_h3[starts[i] + seg.argmax(axis=0), cols] = d_pooled[i]
+        winners = np.stack(
+            [lo + (h3[lo:hi] == top).argmax(axis=0) for lo, hi, top in zip(starts, ends, pooled)]
+        )
     else:
-        winners = h3.reshape(batch, width, -1).argmax(axis=1)
-        d_h3[starts[:, None] + winners, cols] = d_pooled
+        winners = starts[:, None] + (h3.reshape(batch, width, -1) == pooled[:, None]).argmax(axis=1)
+    live = pooled > 0.0
+    critical, slot = np.unique(winners[live], return_inverse=True)
+    d_z3 = np.zeros((len(critical), pooled.shape[1]))
+    d_z3[slot, np.nonzero(live)[1]] = d_pooled[live]
+    h2, h1, pts = h2[critical], h1[critical], pts[critical]
 
-    d_z3 = np.multiply(d_h3, h3 > 0.0, out=d_h3)
     grads["w3"] = h2.T @ d_z3
     grads["b3"] = d_z3.sum(axis=0)
     d_h2 = d_z3 @ params["w3"].T

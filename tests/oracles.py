@@ -30,6 +30,44 @@ def mini_loss(params, clouds, labels):
     return total / len(labels)
 
 
+def dense_loss_and_grad(params, clouds, labels):
+    """Mean cross entropy and its gradient, one cloud at a time, every point.
+
+    The backward of each per-point layer runs over all points of the cloud,
+    and the max pool routes each feature's gradient to the first point
+    attaining the maximum; the ReLU masks then zero what a closed unit gets.
+    """
+    batch = len(labels)
+    grads = {key: np.zeros_like(params[key]) for key in PARAM_KEYS}
+    total = 0.0
+    for pts, label in zip(clouds, labels):
+        acts = [np.asarray(pts, dtype=np.float64)]
+        for i in (1, 2, 3):
+            acts.append(np.maximum(acts[-1] @ params[f"w{i}"] + params[f"b{i}"], 0.0))
+        pooled = acts[3].max(axis=0)
+        h4 = np.maximum(pooled @ params["w4"] + params["b4"], 0.0)
+        logits = h4 @ params["w5"] + params["b5"]
+        p = np.exp(logits - logits.max())
+        total += np.log(p.sum()) + logits.max() - logits[label]
+        d = p / p.sum()
+        d[label] -= 1.0
+        d /= batch
+        grads["w5"] += np.outer(h4, d)
+        grads["b5"] += d
+        d = (d @ params["w5"].T) * (h4 > 0.0)
+        grads["w4"] += np.outer(pooled, d)
+        grads["b4"] += d
+        d_pooled = d @ params["w4"].T
+        d = np.zeros_like(acts[3])
+        d[acts[3].argmax(axis=0), np.arange(d.shape[1])] = d_pooled
+        for i in (3, 2, 1):
+            d = d * (acts[i] > 0.0)
+            grads[f"w{i}"] += acts[i - 1].T @ d
+            grads[f"b{i}"] += d.sum(axis=0)
+            d = d @ params[f"w{i}"].T
+    return total / batch, grads
+
+
 def fd_naive(params, clouds, labels, key, index, h=1e-5):
     """Central difference for one coordinate by full recomputation."""
     plus = {k: v.copy() for k, v in params.items()}

@@ -20,7 +20,7 @@ from metacloud.data import (
     save_dataset,
     split_train_val,
 )
-from metacloud.geometry import PointCloud, TransformSpec
+from metacloud.geometry import PointCloud, TransformSpec, apply_transform
 
 
 # ------------------------------------------------------------------- families
@@ -233,6 +233,36 @@ def test_build_target_domain_deterministic():
     b = build_target_domain(ds, cell_size=0.3, drop_percent=40.0, seed=18)
     for x, y in zip(a.items, b.items):
         np.testing.assert_array_equal(x.points, y.points)
+
+
+def test_build_target_domain_skips_dropping_it_cannot_do():
+    """Dropping leaves a cloud it cannot thin as it is and draws nothing.
+
+    With occlusion: the first cloud fits in one occlusion cell from every
+    direction, so one point survives. Without: dropping 80% would empty a
+    2-point cloud. In both, the last cloud gets the draws it would get alone.
+    """
+    tight = np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0], [0.0, 0.1, 0.0], [0.0, 0.0, 0.1]])
+    other = generate_synthetic_dataset(default_families(points=64), per_class=1, seed=23).items[0]
+    names = ["a", "b", "c", "d", "e"]
+    occlusion = TransformSpec("occlusion", 0.5)
+
+    ds = Dataset(items=[PointCloud(tight, 0), other], class_names=names)
+    target = build_target_domain(ds, cell_size=0.5, drop_percent=45.0, seed=24)
+    rng = np.random.default_rng(24)
+    single = apply_transform(occlusion, tight, rng)
+    assert len(single) == 1
+    dropping = TransformSpec("dropping", 45.0)
+    want = apply_transform(dropping, apply_transform(occlusion, other.points, rng), rng)
+    np.testing.assert_array_equal(target.items[0].points, single)
+    np.testing.assert_array_equal(target.items[1].points, want)
+
+    ds = Dataset(items=[PointCloud(tight[:1], 0), PointCloud(tight[:2], 1), other], class_names=names)
+    target = build_target_domain(ds, cell_size=None, drop_percent=80.0, seed=25)
+    want = apply_transform(TransformSpec("dropping", 80.0), other.points, np.random.default_rng(25))
+    np.testing.assert_array_equal(target.items[0].points, tight[:1])
+    np.testing.assert_array_equal(target.items[1].points, tight[:2])
+    np.testing.assert_array_equal(target.items[2].points, want)
 
 
 def test_build_target_domain_rejects_training_collision():

@@ -7,7 +7,9 @@ import struct
 import numpy as np
 import pytest
 
+from metacloud import network
 from metacloud.network import (
+    EVAL_POINTS,
     PARAM_KEYS,
     AdamState,
     adam_step,
@@ -23,7 +25,7 @@ from metacloud.network import (
     sgd_step,
 )
 
-from oracles import fd_naive, mini_logits, mini_loss, relative_error
+from oracles import dense_loss_and_grad, fd_naive, mini_logits, mini_loss, relative_error
 
 
 def tiny_batch(seed, n_clouds=4, n_classes=3, min_pts=5, max_pts=12):
@@ -96,19 +98,43 @@ def test_forward_invariant_to_point_duplication():
     )
 
 
-def test_forward_chunking_transparent():
-    """Batches larger than the eval chunk produce the same logits.
+def test_forward_chunking_transparent(monkeypatch):
+    """Batches larger than the eval bound produce the same logits.
 
-    Different packing widths reorder BLAS accumulation, so cross-chunking
-    equality is to rounding only; the same call is bit-repeatable.
+    A pack takes whole clouds until the next one would pass EVAL_POINTS
+    rows; a larger cloud goes alone. Different packing widths reorder BLAS
+    accumulation, so cross-chunking equality is to rounding only; the same
+    call is bit-repeatable.
     """
     rng = np.random.default_rng(5)
     params = init_params(3, rng)
-    clouds = [rng.standard_normal((6, 3)) for _ in range(300)]
+    clouds = [rng.standard_normal((40, 3)) for _ in range(300)]
     got = logits_batch(params, clouds)
     want = np.concatenate([logits_batch(params, clouds[i : i + 10]) for i in range(0, 300, 10)])
     np.testing.assert_allclose(got, want, atol=1e-12)
     np.testing.assert_array_equal(got, logits_batch(params, clouds))
+
+    mixed = [rng.standard_normal((int(n), 3)) for n in rng.integers(1, 1500, size=12)]
+    mixed.insert(5, rng.standard_normal((EVAL_POINTS + 100, 3)))
+    packs = []
+    packed_forward = network._forward_packed
+
+    def record(params, pts, starts, width):
+        packs.append((len(pts), len(starts)))
+        return packed_forward(params, pts, starts, width)
+
+    monkeypatch.setattr(network, "_forward_packed", record)
+    got = logits_batch(params, mixed)
+    want = np.stack([mini_logits(params, c) for c in mixed])
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    assert sum(count for _, count in packs) == len(mixed)
+    assert max(count for _, count in packs) > 1
+    first = 0
+    for (rows, count), following in zip(packs, packs[1:] + [None]):
+        assert rows <= EVAL_POINTS or count == 1
+        if following is not None:
+            assert rows + len(mixed[first + count]) > EVAL_POINTS
+        first += count
 
 
 def test_loss_batch_uniform_logits():
@@ -206,6 +232,48 @@ def test_same_size_pool_routes_like_deduplicated_clouds():
     assert (g_a["b3"][7] == 0.0) and (g_a["w3"][:, 7] == 0.0).all()
     for key in PARAM_KEYS:
         np.testing.assert_allclose(g_a[key], g_b[key], rtol=1e-10, atol=1e-15)
+
+
+def test_gradients_match_dense_reference():
+    """The winner-rows backward equals a dense backward over every point.
+
+    Batches: mixed sizes; one size; a cloud whose points are all equal, so
+    every feature ties and one point wins them all, in a same-size and in a
+    mixed batch; every last-layer feature zero at every point of exactly one
+    cloud; clouds whose second half repeats the first, so that half wins no
+    feature. Each gradient agrees to 1e-12 of its largest entry: the two sum
+    the batch in different orders, so tiny entries differ more in relative
+    terms.
+    """
+    batches = [tiny_batch(30), tiny_batch(31, min_pts=9, max_pts=9)]
+
+    params, clouds, labels = tiny_batch(32, min_pts=7, max_pts=7)
+    clouds[1] = np.repeat(clouds[1][:1], 7, axis=0)
+    batches.append((params, clouds, labels))
+    batches.append((params, [clouds[0][:4]] + clouds[1:], labels))
+
+    params, clouds, labels = tiny_batch(33)
+    highs = []
+    for pts in clouds:
+        h = pts
+        for i in (1, 2):
+            h = np.maximum(h @ params[f"w{i}"] + params[f"b{i}"], 0.0)
+        highs.append((h @ params["w3"]).max(axis=0))
+    lowest = np.sort(highs, axis=0)
+    params["b3"] = -(lowest[0] + lowest[1]) / 2.0
+    assert ((np.array(highs) + params["b3"] <= 0.0).sum(axis=0) == 1).all()
+    batches.append((params, clouds, labels))
+
+    for params, clouds, labels in (tiny_batch(34), tiny_batch(35, min_pts=6, max_pts=6)):
+        batches.append((params, [np.concatenate([c, c]) for c in clouds], labels))
+
+    for params, clouds, labels in batches:
+        loss, grads = loss_and_grad(params, clouds, labels)
+        want_loss, want = dense_loss_and_grad(params, clouds, labels)
+        np.testing.assert_allclose(loss, want_loss, rtol=1e-12)
+        for key in PARAM_KEYS:
+            scale = np.abs(want[key]).max()
+            assert np.abs(grads[key] - want[key]).max() <= 1e-12 * scale, key
 
 
 # --------------------------------------------------------------- optimizers
