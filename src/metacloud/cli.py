@@ -12,6 +12,7 @@ disjoint, so one seed fixes the whole run.
 """
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -39,9 +40,10 @@ EXIT_RUNTIME = 4
 # Which CLI value flag goes with which transform kind.
 KIND_FLAGS = {KIND_DENSITY: "g", KIND_DROPPING: "x", KIND_OCCLUSION: "w"}
 
-CONFIG_INT_KEYS = ("batch_size", "tasks_per_step", "max_epochs", "seed")
-CONFIG_FLOAT_KEYS = ("eta", "beta", "epsilon")
-CONFIG_STR_KEYS = ("mode", "task_params")
+# Config file keys and the type each value parses as: every TrainConfig field,
+# plus the two strings that pick the mode and the task set.
+TRAIN_CONFIG_TYPES = {field.name: field.type for field in dataclasses.fields(meta.TrainConfig)}
+CONFIG_TYPES = dict(TRAIN_CONFIG_TYPES, mode=str, task_params=str)
 
 
 class ConfigError(ValueError):
@@ -59,25 +61,15 @@ def read_config(path):
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
+        if key not in CONFIG_TYPES:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            if key in CONFIG_INT_KEYS:
-                values[key] = int(value)
-            elif key in CONFIG_FLOAT_KEYS:
-                values[key] = float(value)
-            elif key in CONFIG_STR_KEYS:
-                values[key] = value
-            else:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        except ValueError as exc:
-            if isinstance(exc, ConfigError):
-                raise
+            values[key] = CONFIG_TYPES[key](value)
+        except ValueError:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from None
     if "mode" in values and values["mode"] not in meta.MODES:
         raise ConfigError(f"{path}: unknown mode {values['mode']!r}")
-    if "task_params" in values and values["task_params"] not in (
-        meta.TASK_MODE_FIXED,
-        meta.TASK_MODE_STRATIFIED,
-    ):
+    if "task_params" in values and values["task_params"] not in meta.TASK_MODES:
         raise ConfigError(f"{path}: unknown task_params {values['task_params']!r}")
     return values
 
@@ -131,14 +123,8 @@ def cmd_train(args, parser):
         parser.error("--seed is required (flag or config key)")
     mode = args.mode or file_values.get("mode", meta.MODE_METASETS)
     task_params = args.task_params or file_values.get("task_params", meta.TASK_MODE_FIXED)
-    config = meta.TrainConfig(
-        seed=seed,
-        **{
-            key: file_values[key]
-            for key in ("batch_size", "tasks_per_step", "eta", "beta", "epsilon", "max_epochs")
-            if key in file_values
-        },
-    )
+    train_values = {key: file_values[key] for key in TRAIN_CONFIG_TYPES if key in file_values}
+    config = meta.TrainConfig(**dict(train_values, seed=seed))
 
     dataset = data.load_dataset(args.manifest)
     train_set, val_set = data.split_train_val(dataset, seed)
@@ -168,11 +154,6 @@ def cmd_train(args, parser):
 def cmd_eval(args, parser):
     params, _, class_names = network.load_checkpoint(args.checkpoint)
     dataset = data.load_dataset(args.manifest)
-    if len(dataset.class_names) != network.class_count_of(params):
-        raise ValueError(
-            f"checkpoint has {network.class_count_of(params)} classes, "
-            f"dataset has {len(dataset.class_names)}"
-        )
     if list(dataset.class_names) != list(class_names):
         raise ValueError(
             f"class names differ: checkpoint {class_names} vs dataset {dataset.class_names}"
@@ -233,11 +214,7 @@ def build_parser():
     p.add_argument("--manifest", required=True, help="dataset manifest or directory")
     p.add_argument("--config", help="flat key-value config file")
     p.add_argument("--mode", choices=meta.MODES)
-    p.add_argument(
-        "--task-params",
-        dest="task_params",
-        choices=(meta.TASK_MODE_FIXED, meta.TASK_MODE_STRATIFIED),
-    )
+    p.add_argument("--task-params", dest="task_params", choices=meta.TASK_MODES)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)

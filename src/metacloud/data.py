@@ -28,6 +28,8 @@ logger = logging.getLogger(__name__)
 SURFACE_KINDS = ("cone", "cube", "cylinder", "sphere", "torus")
 
 TORUS_MINOR = 0.35
+SCALE_JITTER = (0.8, 1.2)
+ASPECT_JITTER = (0.8, 1.25)
 MANIFEST_NAME = "manifest.txt"
 
 # Validation share of a 5:1 train/val split.
@@ -40,21 +42,16 @@ class DatasetFormatError(ValueError):
 
 @dataclass
 class ShapeFamily:
-    """One synthetic class: a surface kind plus its instance jitter ranges."""
+    """One synthetic class: a surface kind plus its points per cloud."""
 
     name: str
     points: int = 1024
-    scale_jitter: tuple = (0.8, 1.2)
-    aspect_jitter: tuple = (0.8, 1.25)
 
     def __post_init__(self):
         if self.name not in SURFACE_KINDS:
             raise ValueError(f"unknown surface kind {self.name!r}")
         if self.points < 64:
             raise ValueError(f"points per cloud must be >= 64, got {self.points}")
-        for lo, hi in (self.scale_jitter, self.aspect_jitter):
-            if not (0.0 < lo <= hi):
-                raise ValueError("jitter ranges must be positive with lo <= hi")
 
 
 @dataclass
@@ -152,13 +149,12 @@ def _yaw_matrix(angle):
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def generate_synthetic_dataset(families, per_class, seed, points=None):
+def generate_synthetic_dataset(families, per_class, seed):
     """Generate per_class instances of each family under one seed.
 
     Labels follow the order of `families`; instances are drawn class major,
-    instance minor, so a given (families, per_class, seed, points) tuple
-    always yields the identical dataset. `points` overrides every family's
-    own point count when given.
+    instance minor, so a given (families, per_class, seed) triple always
+    yields the identical dataset.
     """
     if not families:
         raise ValueError("need at least one shape family")
@@ -167,16 +163,13 @@ def generate_synthetic_dataset(families, per_class, seed, points=None):
         raise ValueError("family names must be unique")
     if per_class < 1:
         raise ValueError(f"per_class must be >= 1, got {per_class}")
-    if points is not None and points < 64:
-        raise ValueError(f"points per cloud must be >= 64, got {points}")
     rng = np.random.default_rng(seed)
     items = []
     for label, fam in enumerate(families):
-        m = points if points is not None else fam.points
         for _ in range(per_class):
-            pts = sample_surface(fam.name, m, rng)
-            aspect = rng.uniform(fam.aspect_jitter[0], fam.aspect_jitter[1], size=3)
-            scale = rng.uniform(fam.scale_jitter[0], fam.scale_jitter[1])
+            pts = sample_surface(fam.name, fam.points, rng)
+            aspect = rng.uniform(ASPECT_JITTER[0], ASPECT_JITTER[1], size=3)
+            scale = rng.uniform(SCALE_JITTER[0], SCALE_JITTER[1])
             yaw = rng.uniform(0.0, 2.0 * np.pi)
             pts = (pts * aspect * scale) @ _yaw_matrix(yaw).T
             items.append(PointCloud(normalize_unit_ball(pts), label))

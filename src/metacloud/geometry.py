@@ -5,12 +5,9 @@ mutate their inputs. Transformed clouds are always row subsets of the input
 cloud, in the original relative order.
 """
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
-
-logger = logging.getLogger(__name__)
 
 # Transform kinds understood by TransformSpec / apply_transform.
 KIND_DENSITY = "density"
@@ -19,16 +16,9 @@ KIND_OCCLUSION = "occlusion"
 KIND_IDENTITY = "identity"
 TRANSFORM_KINDS = (KIND_DENSITY, KIND_DROPPING, KIND_OCCLUSION, KIND_IDENTITY)
 
-# Bounded retry count for transforms that can signal an empty result.
-RESAMPLE_LIMIT = 8
-
 
 class DegenerateCloudError(ValueError):
     """Cloud has no spatial extent (all points coincide) or is empty."""
-
-
-class ResampleRequired(RuntimeError):
-    """A stochastic transform produced an empty cloud; retry with fresh draws."""
 
 
 @dataclass
@@ -78,6 +68,15 @@ def random_unit_vector(rng):
             return v / norm
 
 
+def _distances(points, origin):
+    """Euclidean distance of every point to origin; raises if any overflows."""
+    with np.errstate(over="ignore"):
+        d = np.linalg.norm(points - origin, axis=1)
+    if not np.isfinite(d).all():
+        raise ValueError("point distances are not finite; coordinates too large")
+    return d
+
+
 def distance_thin(points, anchor, gate, rng):
     """Drop points with probability growing with distance from an anchor.
 
@@ -90,21 +89,20 @@ def distance_thin(points, anchor, gate, rng):
         points: (n, 3) array.
         anchor: (3,) position the thinning is centered on (on the unit
             sphere when driven by apply_transform).
-        gate: rate multiplier, must be > 1.
+        gate: rate multiplier, finite and > 1.
         rng: numpy Generator for the per-point survival draws.
 
     Returns:
-        Surviving rows of points, original order.
+        Surviving rows of points, original order; never empty.
 
     Raises:
-        ResampleRequired: no point survived (defensive; cannot occur with
-            min-max rates since the nearest point always survives).
+        ValueError: bad gate, or a distance to the anchor is not finite.
     """
     points = _check_points(points)
     anchor = np.asarray(anchor, dtype=np.float64).reshape(3)
-    if not gate > 1.0:
-        raise ValueError(f"gate must be > 1, got {gate}")
-    d = np.linalg.norm(points - anchor, axis=1)
+    if not 1.0 < gate < np.inf:
+        raise ValueError(f"gate must be finite and > 1, got {gate}")
+    d = _distances(points, anchor)
     span = d.max() - d.min()
     if span < 1e-12:
         rate = np.zeros(len(points))
@@ -112,8 +110,6 @@ def distance_thin(points, anchor, gate, rng):
         rate = (d - d.min()) / span
     drop_prob = np.minimum(1.0, gate * rate)
     keep = rng.random(len(points)) >= drop_prob
-    if not keep.any():
-        raise ResampleRequired("distance thinning removed every point")
     return points[keep]
 
 
@@ -138,7 +134,8 @@ def drop_nearest(points, anchor_index, percent):
         The n - m surviving rows, original order.
 
     Raises:
-        ValueError: bad percent, bad anchor index, n < 2, or m >= n.
+        ValueError: bad percent, bad anchor index, n < 2, m >= n, or a
+            distance to the anchor is not finite.
     """
     points = _check_points(points)
     n = len(points)
@@ -151,7 +148,7 @@ def drop_nearest(points, anchor_index, percent):
     m = drop_count(n, percent)
     if m >= n:
         raise ValueError(f"would drop all {n} points (m={m})")
-    d = np.linalg.norm(points - points[anchor_index], axis=1)
+    d = _distances(points, points[anchor_index])
     # Stable sort keeps equal distances in index order.
     nearest = np.argsort(d, kind="stable")[:m]
     keep = np.ones(n, dtype=bool)
@@ -213,8 +210,9 @@ def self_occlude(points, direction, cell_size):
     a = points @ u
     b = points @ w
     c = points @ v
-    col = np.floor((a - a.min()) / cell_size).astype(np.int64)
-    row = np.floor((b - b.min()) / cell_size).astype(np.int64)
+    # Cell indices stay floats: a tiny cell gives indices past the int64 range.
+    col = np.floor((a - a.min()) / cell_size)
+    row = np.floor((b - b.min()) / cell_size)
     # Stable lexsort: within a cell, equal depths stay in index order.
     order = np.lexsort((c, row, col))
     col_s, row_s = col[order], row[order]
@@ -244,8 +242,8 @@ class TransformSpec:
             return
         if self.value is None:
             raise ValueError(f"{self.kind} needs a parameter value")
-        if self.kind == KIND_DENSITY and not self.value > 1.0:
-            raise ValueError(f"density gate must be > 1, got {self.value}")
+        if self.kind == KIND_DENSITY and not 1.0 < self.value < np.inf:
+            raise ValueError(f"density gate must be finite and > 1, got {self.value}")
         if self.kind == KIND_DROPPING and not 0.0 < self.value < 100.0:
             raise ValueError(f"drop percent must be in (0, 100), got {self.value}")
         if self.kind == KIND_OCCLUSION and not self.value > 0.0:
@@ -257,9 +255,7 @@ def apply_transform(spec, points, rng):
 
     Dynamic draws per kind: density draws an anchor on the unit sphere,
     dropping draws the anchor point index, occlusion draws the view
-    direction; identity draws nothing. A density result that comes back
-    empty is retried with fresh draws up to RESAMPLE_LIMIT times, then the
-    cloud is returned unchanged with a warning.
+    direction; identity draws nothing.
 
     Args:
         spec: TransformSpec naming the kind and its static parameter.
@@ -267,23 +263,16 @@ def apply_transform(spec, points, rng):
         rng: numpy Generator for the dynamic draws.
 
     Returns:
-        The transformed cloud (a row subset; identity returns the input
-        array itself).
+        The transformed cloud (a non-empty row subset; identity returns the
+        input array itself).
+
+    Raises:
+        ValueError: the kind's transform rejects the cloud.
     """
     if spec.kind == KIND_IDENTITY:
         return points
     if spec.kind == KIND_DENSITY:
-        for _ in range(RESAMPLE_LIMIT):
-            anchor = random_unit_vector(rng)
-            try:
-                return distance_thin(points, anchor, spec.value, rng)
-            except ResampleRequired:
-                continue
-        logger.warning(
-            "density transform empty after %d retries; passing cloud through",
-            RESAMPLE_LIMIT,
-        )
-        return points
+        return distance_thin(points, random_unit_vector(rng), spec.value, rng)
     if spec.kind == KIND_DROPPING:
         anchor_index = int(rng.integers(len(points)))
         return drop_nearest(points, anchor_index, spec.value)

@@ -33,6 +33,7 @@ MODES = (MODE_METASETS, MODE_NONE, MODE_AUGMENT, MODE_NO_SOFT, MODE_STATIC)
 
 TASK_MODE_FIXED = "paper"
 TASK_MODE_STRATIFIED = "stratified"
+TASK_MODES = (TASK_MODE_FIXED, TASK_MODE_STRATIFIED)
 
 # Stock nine-task grid: three static parameters per transform kind.
 FIXED_TASK_VALUES = {

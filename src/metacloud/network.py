@@ -76,10 +76,6 @@ def init_params(class_count, rng):
     return params
 
 
-def class_count_of(params):
-    return params["b5"].shape[0]
-
-
 def _pack(clouds):
     """Concatenate clouds into one (total, 3) block.
 

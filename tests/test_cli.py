@@ -117,6 +117,28 @@ def test_transform_density_and_occlusion(cloud_file, tmp_path):
     occluded = data.load_cloud(out_w / cloud_file.name)
     assert 0 < len(occluded.points) < 1000
 
+    out_tiny = tmp_path / "tiny_cells"
+    assert run_cli(
+        ["transform", "--kind", "occlusion", "--w", "1e-300", "--seed", "4",
+         "--out", str(out_tiny), str(cloud_file)]
+    ) == 0
+    assert len(data.load_cloud(out_tiny / cloud_file.name).points) == 1000
+
+
+def test_transform_rejects_infinite_gate_and_overflowing_cloud(cloud_file, tmp_path, capsys):
+    """Inputs the transforms cannot honour exit 4 and write no cloud."""
+    out = tmp_path / "o"
+    assert run_cli(["transform", "--kind", "density", "--g", "inf", "--seed", "0",
+                    "--out", str(out), str(cloud_file)]) == 4
+    assert "error: density gate must be finite and > 1, got inf" in capsys.readouterr().err
+    huge = tmp_path / "huge.txt"
+    data.save_cloud(huge, PointCloud(data.load_cloud(cloud_file).points * 1e200, 0))
+    for kind, flag, value in (("density", "--g", "1.4"), ("dropping", "--x", "36")):
+        assert run_cli(["transform", "--kind", kind, flag, value, "--seed", "0",
+                        "--out", str(out), str(huge)]) == 4
+        assert "point distances are not finite" in capsys.readouterr().err
+        assert not (out / huge.name).exists()
+
 
 def test_transform_seed_determinism(cloud_file, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"

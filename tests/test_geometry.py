@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from metacloud.geometry import (
     DegenerateCloudError,
-    ResampleRequired,
     TransformSpec,
     apply_transform,
     distance_thin,
@@ -134,6 +136,10 @@ def test_distance_thin_validates_gate():
     pts = random_cloud(rng, n=8)
     with pytest.raises(ValueError):
         distance_thin(pts, np.zeros(3), 1.0, rng)
+    with pytest.raises(ValueError):
+        distance_thin(pts, np.zeros(3), np.inf, rng)
+    with pytest.raises(ValueError, match="not finite"):
+        distance_thin(pts * 1e200, np.zeros(3), 1.4, rng)
 
 
 # -------------------------------------------------------------- drop_nearest
@@ -185,6 +191,8 @@ def test_drop_nearest_rejects_bad_input():
         drop_nearest(pts[:1], 0, 30.0)
     with pytest.raises(ValueError):
         drop_nearest(pts, 0, 99.0)  # m = 2 would empty the cloud
+    with pytest.raises(ValueError, match="not finite"):
+        drop_nearest(np.vstack([pts, pts + 1.0]) * 1e200, 0, 30.0)  # distances overflow
 
 
 # -------------------------------------------------------------- self_occlude
@@ -248,6 +256,8 @@ def test_self_occlude_tiny_cell_keeps_everything():
     gaps[np.arange(len(pts)), np.arange(len(pts))] = np.inf
     out = self_occlude(pts, direction, 0.99 * gaps.min())
     np.testing.assert_array_equal(out, pts)
+    # Cell indices far past the int64 range still tell the cells apart.
+    np.testing.assert_array_equal(self_occlude(pts, direction, 1e-300), pts)
 
 
 def test_self_occlude_keeps_cell_minima():
@@ -295,6 +305,8 @@ def test_transform_spec_validation():
     with pytest.raises(ValueError):
         TransformSpec("density", 0.9)
     with pytest.raises(ValueError):
+        TransformSpec("density", np.inf)
+    with pytest.raises(ValueError):
         TransformSpec("dropping", 100.0)
     with pytest.raises(ValueError):
         TransformSpec("occlusion", 0.0)
@@ -326,17 +338,50 @@ def test_apply_transform_outputs_are_subsets():
             assert 1 <= len(out) <= len(pts)
 
 
-def test_apply_transform_retries_then_passes_through(monkeypatch, caplog):
-    """An always-empty thinning falls back to the untouched cloud."""
-    import metacloud.geometry as geo
+COORDINATES = st.one_of(
+    st.just(0.0),
+    st.floats(1e-300, 1e300),
+    st.floats(-1e300, -1e-300),
+)
 
-    def always_empty(points, anchor, gate, rng):
-        raise ResampleRequired("forced")
+SPEC_VALUES = {
+    "density": st.floats(1.0, 1e300, exclude_min=True),
+    "dropping": st.floats(0.0, 100.0, exclude_min=True, exclude_max=True),
+    "occlusion": st.floats(1e-300, 1e300),
+    "identity": st.none(),
+}
 
-    monkeypatch.setattr(geo, "distance_thin", always_empty)
-    rng = np.random.default_rng(18)
-    pts = random_cloud(rng)
-    with caplog.at_level("WARNING"):
-        out = geo.apply_transform(TransformSpec("density", 1.4), pts, rng)
-    assert out is pts
-    assert "passing cloud through" in caplog.text
+
+@st.composite
+def awkward_clouds(draw):
+    """1-64 points: general, duplicated, collinear or coplanar rows."""
+    n = draw(st.integers(1, 64))
+    rows = draw(arrays(np.float64, (n, 3), elements=COORDINATES))
+    layout = draw(st.sampled_from(("general", "duplicate", "collinear", "coplanar")))
+    if layout == "duplicate":
+        picks = draw(arrays(np.intp, n, elements=st.integers(0, min(n, 3) - 1)))
+        return rows[picks]
+    if layout == "general":
+        return rows
+    # Convex combinations of two or three rows stay within the coordinate range.
+    weights = draw(arrays(np.float64, (n, 2), elements=st.floats(0.0, 0.5)))
+    if layout == "collinear":
+        weights[:, 1] = 0.0
+    p0, p1, p2 = rows[0], rows[1 % n], rows[2 % n]
+    return p0 + weights[:, :1] * (p1 - p0) + weights[:, 1:] * (p2 - p0)
+
+
+@pytest.mark.parametrize("kind", sorted(SPEC_VALUES))
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_apply_transform_returns_ordered_subset_or_raises(kind, data):
+    """Any valid spec on any awkward cloud: a non-empty ordered subset, or ValueError."""
+    spec = TransformSpec(kind, data.draw(SPEC_VALUES[kind], label="value"))
+    pts = data.draw(awkward_clouds(), label="points")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    try:
+        out = apply_transform(spec, pts, rng)
+    except ValueError:
+        return
+    assert len(out) >= 1
+    survivor_indices(pts, out)
