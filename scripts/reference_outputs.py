@@ -1,0 +1,81 @@
+"""Write every artifact of a fixed set of metacloud commands, to compare two trees.
+
+Runs, through the command line of the sources at --src:
+- `generate`: 3 classes x 12 clouds of 96 points, seed 7;
+- `train` in every mode under both task grids (`paper`, `stratified`), seed
+  11, batch 8, 3 tasks per step, 3 epochs, eta 0.001, beta 0.002, plus
+  `metasets` and `static-transform` at eta 0; then `eval --out` of each
+  checkpoint on the generated set;
+- one `transform` of each kind (`--g 1.4`, `--x 36`, `--w 0.05`, seed 3)
+  over all generated clouds.
+
+Each command runs in its own interpreter with BLAS pinned to one thread and
+the output directory as working directory, and its stdout and exit code go
+to `<step>.log`, so runs of two source trees compare with one `diff -r`:
+
+    python3 scripts/reference_outputs.py --src OLD/src --out /tmp/old
+    python3 scripts/reference_outputs.py --src src --out /tmp/new
+    diff -r /tmp/old /tmp/new
+"""
+
+import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+MODES = ("metasets", "none", "augment", "no-soft-sampling", "static-transform")
+TASK_GRIDS = ("paper", "stratified")
+CONFIG = "batch_size = 8\ntasks_per_step = 3\nmax_epochs = 3\nbeta = 0.002\n"
+TRANSFORMS = (("density", "--g", "1.4"), ("dropping", "--x", "36"), ("occlusion", "--w", "0.05"))
+
+
+def run(src, out, step, argv):
+    """Run `python -m metacloud argv` from out; stop the whole script if it fails."""
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "metacloud", *argv],
+        cwd=out, env=env, capture_output=True, text=True,
+    )
+    (out / f"{step}.log").write_text(f"exit {proc.returncode}\n{proc.stdout}{proc.stderr}")
+    if proc.returncode != 0:
+        sys.exit(f"{step}: exit {proc.returncode}\n{proc.stderr}")
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", required=True, help="the src directory of the tree to run")
+    parser.add_argument("--out", required=True, help="new or empty directory for the outputs")
+    args = parser.parse_args(argv)
+    src = Path(args.src).resolve()
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    if any(out.iterdir()):
+        parser.error(f"{out} is not empty")
+
+    run(src, out, "generate", ["generate", "--classes", "3", "--per-class", "12",
+                                "--points", "96", "--seed", "7", "--out", "data"])
+    for eta in ("0.001", "0"):
+        (out / f"eta{eta}.cfg").write_text(f"{CONFIG}eta = {eta}\n")
+    for grid in TASK_GRIDS:
+        for mode in MODES:
+            for eta in ("0.001", "0") if mode in ("metasets", "static-transform") else ("0.001",):
+                name = f"{mode}-{grid}-eta{eta}"
+                run(src, out, f"train-{name}",
+                    ["train", "--manifest", "data", "--config", f"eta{eta}.cfg", "--mode", mode,
+                     "--task-params", grid, "--seed", "11", "--out", f"runs/{name}"])
+                run(src, out, f"eval-{name}",
+                    ["eval", "--checkpoint", f"runs/{name}/model.ckpt", "--manifest", "data",
+                     "--out", f"runs/{name}/eval.json"])
+    clouds = sorted(str(p.relative_to(out)) for p in (out / "data").rglob("*.txt")
+                    if p.name != "manifest.txt")
+    for kind, flag, value in TRANSFORMS:
+        run(src, out, f"transform-{kind}",
+            ["transform", "--kind", kind, flag, value, "--seed", "3",
+             "--out", f"transformed/{kind}", *clouds])
+    print(f"outputs in {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

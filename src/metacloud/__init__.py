@@ -9,6 +9,7 @@ from .geometry import (
     normalize_unit_ball,
     random_unit_vector,
     self_occlude,
+    transform_rows,
 )
 from .meta import (
     TaskSet,
@@ -39,6 +40,7 @@ __all__ = [
     "sample_task_indices",
     "self_occlude",
     "train",
+    "transform_rows",
     "update_probabilities",
     "__version__",
 ]

@@ -101,12 +101,19 @@ def cmd_transform(args, parser):
         if name != flag and value is not None:
             parser.error(f"--{name} does not apply to --kind {args.kind}")
     spec = TransformSpec(args.kind, given[flag])
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(args.seed)
+    # Transform every file before writing any, so a bad file leaves no output.
+    done = []
     for src in args.files:
         cloud = data.load_cloud(src)
-        transformed = apply_transform(spec, cloud.points, rng)
+        try:
+            transformed = apply_transform(spec, cloud.points, rng)
+        except ValueError as exc:
+            raise ValueError(f"{src}: {exc}") from None
+        done.append((src, cloud, transformed))
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for src, cloud, transformed in done:
         dest = out / Path(src).name
         data.save_cloud(dest, PointCloud(transformed, cloud.label))
         print(f"{src} -> {dest} ({len(cloud.points)} -> {len(transformed)} points)")

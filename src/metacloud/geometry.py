@@ -5,6 +5,7 @@ mutate their inputs. Transformed clouds are always row subsets of the input
 cloud, in the original relative order.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,6 +100,11 @@ def distance_thin(points, anchor, gate, rng):
         ValueError: bad gate, or a distance to the anchor is not finite.
     """
     points = _check_points(points)
+    return points[_thin_rows(points, anchor, gate, rng)]
+
+
+def _thin_rows(points, anchor, gate, rng):
+    """Sorted indices of the rows distance_thin keeps."""
     anchor = np.asarray(anchor, dtype=np.float64).reshape(3)
     if not 1.0 < gate < np.inf:
         raise ValueError(f"gate must be finite and > 1, got {gate}")
@@ -110,7 +116,7 @@ def distance_thin(points, anchor, gate, rng):
         rate = (d - d.min()) / span
     drop_prob = np.minimum(1.0, gate * rate)
     keep = rng.random(len(points)) >= drop_prob
-    return points[keep]
+    return np.flatnonzero(keep)
 
 
 def drop_count(n, percent):
@@ -138,6 +144,11 @@ def drop_nearest(points, anchor_index, percent):
             distance to the anchor is not finite.
     """
     points = _check_points(points)
+    return points[_nearest_rows(points, anchor_index, percent)]
+
+
+def _nearest_rows(points, anchor_index, percent):
+    """Sorted indices of the rows drop_nearest keeps."""
     n = len(points)
     if n < 2:
         raise ValueError("dropping needs at least 2 points")
@@ -149,11 +160,8 @@ def drop_nearest(points, anchor_index, percent):
     if m >= n:
         raise ValueError(f"would drop all {n} points (m={m})")
     d = _distances(points, points[anchor_index])
-    # Stable sort keeps equal distances in index order.
-    nearest = np.argsort(d, kind="stable")[:m]
-    keep = np.ones(n, dtype=bool)
-    keep[nearest] = False
-    return points[keep]
+    # Stable sort keeps equal distances in index order; the rest survive.
+    return np.sort(np.argsort(d, kind="stable")[m:])
 
 
 def viewing_frame(direction):
@@ -202,8 +210,17 @@ def self_occlude(points, direction, cell_size):
 
     Returns:
         One surviving row per occupied cell, original order.
+
+    Raises:
+        ValueError: bad cell size, or a cell index is not finite (the
+            in-plane extent over cell_size passes the float range).
     """
     points = _check_points(points)
+    return points[_occlude_rows(points, direction, cell_size)]
+
+
+def _occlude_rows(points, direction, cell_size):
+    """Sorted indices of the rows self_occlude keeps."""
     if not cell_size > 0.0:
         raise ValueError(f"cell size must be > 0, got {cell_size}")
     u, w, v = viewing_frame(direction)
@@ -211,6 +228,15 @@ def self_occlude(points, direction, cell_size):
     b = points @ w
     c = points @ v
     # Cell indices stay floats: a tiny cell gives indices past the int64 range.
+    # Past the float range they would become inf and merge distinct cells; no
+    # index exceeds the in-plane extent over the cell size, checked here in
+    # Python floats, which overflow to inf without a warning.
+    for extent in (float(a.max()) - float(a.min()), float(b.max()) - float(b.min())):
+        if not math.isfinite(extent / cell_size):
+            raise ValueError(
+                f"occlusion cell indices are not finite; cell size {cell_size} is too small"
+                " for the cloud's extent"
+            )
     col = np.floor((a - a.min()) / cell_size)
     row = np.floor((b - b.min()) / cell_size)
     # Stable lexsort: within a cell, equal depths stay in index order.
@@ -218,8 +244,7 @@ def self_occlude(points, direction, cell_size):
     col_s, row_s = col[order], row[order]
     first = np.ones(len(points), dtype=bool)
     first[1:] = (col_s[1:] != col_s[:-1]) | (row_s[1:] != row_s[:-1])
-    winners = np.sort(order[first])
-    return points[winners]
+    return np.sort(order[first])
 
 
 @dataclass(frozen=True)
@@ -250,17 +275,40 @@ class TransformSpec:
             raise ValueError(f"occlusion cell size must be > 0, got {self.value}")
 
 
-def apply_transform(spec, points, rng):
-    """Apply one transform with fresh dynamic parameters drawn from rng.
+def transform_rows(spec, points, rng):
+    """Rows of points that one transform keeps, with fresh dynamic draws from rng.
 
     Dynamic draws per kind: density draws an anchor on the unit sphere,
     dropping draws the anchor point index, occlusion draws the view
-    direction; identity draws nothing.
+    direction; identity draws nothing and keeps every row.
 
     Args:
         spec: TransformSpec naming the kind and its static parameter.
         points: (n, 3) array, assumed normalized to the unit ball.
         rng: numpy Generator for the dynamic draws.
+
+    Returns:
+        Strictly increasing, non-empty int array of row indices.
+
+    Raises:
+        ValueError: the kind's transform rejects the cloud.
+    """
+    points = _check_points(points)
+    if spec.kind == KIND_IDENTITY:
+        return np.arange(len(points))
+    if spec.kind == KIND_DENSITY:
+        return _thin_rows(points, random_unit_vector(rng), spec.value, rng)
+    if spec.kind == KIND_DROPPING:
+        return _nearest_rows(points, int(rng.integers(len(points))), spec.value)
+    if spec.kind == KIND_OCCLUSION:
+        return _occlude_rows(points, random_unit_vector(rng), spec.value)
+    raise ValueError(f"unknown transform kind {spec.kind!r}")
+
+
+def apply_transform(spec, points, rng):
+    """Apply one transform with fresh dynamic parameters drawn from rng.
+
+    The same draws as transform_rows, which picks the rows kept.
 
     Returns:
         The transformed cloud (a non-empty row subset; identity returns the
@@ -271,12 +319,5 @@ def apply_transform(spec, points, rng):
     """
     if spec.kind == KIND_IDENTITY:
         return points
-    if spec.kind == KIND_DENSITY:
-        return distance_thin(points, random_unit_vector(rng), spec.value, rng)
-    if spec.kind == KIND_DROPPING:
-        anchor_index = int(rng.integers(len(points)))
-        return drop_nearest(points, anchor_index, spec.value)
-    if spec.kind == KIND_OCCLUSION:
-        direction = random_unit_vector(rng)
-        return self_occlude(points, direction, spec.value)
-    raise ValueError(f"unknown transform kind {spec.kind!r}")
+    points = _check_points(points)
+    return points[transform_rows(spec, points, rng)]

@@ -17,12 +17,20 @@ is part of the reproducibility contract; new streams must be appended.
 """
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import network
-from .geometry import KIND_DENSITY, KIND_DROPPING, KIND_OCCLUSION, TransformSpec, apply_transform
+from .geometry import (
+    KIND_DENSITY,
+    KIND_DROPPING,
+    KIND_OCCLUSION,
+    TransformSpec,
+    apply_transform,
+    transform_rows,
+)
 
 MODE_METASETS = "metasets"
 MODE_NONE = "none"
@@ -190,16 +198,16 @@ def meta_validate(params, task_set, clouds, labels, rng):
     """Score every task on a validation split.
 
     Each validation cloud is corrupted once per task with fresh dynamic
-    draws (task major, cloud minor). Returns (losses, accuracies), one entry
-    per task.
+    draws (task major, cloud minor). Only the rows each task keeps are drawn;
+    the network scores every task from one pass over the clean clouds.
+    Returns (losses, accuracies), one entry per task.
     """
-    return _score(params, (_corrupt(spec, clouds, rng) for spec in task_set.transforms), labels)
+    return network.evaluate_tasks(params, clouds, _task_rows(task_set, clouds, rng), labels)
 
 
-def _score(params, task_clouds, labels):
-    """(losses, accuracies) of params, one entry per task's clouds."""
-    scores = [network.evaluate(params, clouds, labels) for clouds in task_clouds]
-    return np.array([loss for loss, _ in scores]), np.array([acc for _, acc in scores])
+def _task_rows(task_set, clouds, rng):
+    """Rows each task keeps of each cloud, drawn task major, cloud minor."""
+    return [[transform_rows(spec, c, rng) for c in clouds] for spec in task_set.transforms]
 
 
 def _task_source(cached, task_set, train_clouds, val_clouds, val_labels, streams):
@@ -207,15 +215,31 @@ def _task_source(cached, task_set, train_clouds, val_clouds, val_labels, streams
     if cached:
         rng = streams["transform"]
         train_cache = [_corrupt(spec, train_clouds, rng) for spec in task_set.transforms]
-        val_cache = [_corrupt(spec, val_clouds, rng) for spec in task_set.transforms]
+        val_rows = _task_rows(task_set, val_clouds, rng)
         return (
             lambda idx: lambda t: [train_cache[t][i] for i in idx],
-            lambda p: _score(p, val_cache, val_labels),
+            lambda p: network.evaluate_tasks(p, val_clouds, val_rows, val_labels),
         )
     return (
         lambda idx: _fresh_batches(task_set, [train_clouds[i] for i in idx], streams["transform"]),
         lambda p: meta_validate(p, task_set, val_clouds, val_labels, streams["validate"]),
     )
+
+
+def _check_losses(result, epoch, step):
+    """Raise ValueError at the first task whose loss, before or after its inner step, is not finite.
+
+    The message names the epoch, the step within it (both from 1) and the
+    task (its 1-based place in the task set, or "raw" for the source batch).
+    """
+    pairs = zip(result.task_indices, result.task_losses.tolist(), result.adapted_losses.tolist())
+    for t, before, after in pairs:
+        if not (math.isfinite(before) and math.isfinite(after)):
+            task = "raw" if t is None else t + 1
+            raise ValueError(
+                f"epoch {epoch}, step {step}, task {task}: training loss is {before!r}"
+                f" before and {after!r} after the inner step"
+            )
 
 
 def _draw_one_uniform(probabilities, k, rng):
@@ -290,7 +314,9 @@ def train(config, train_set, val_set, task_set, mode=MODE_METASETS, step_callbac
     Training stops early once every per-task validation loss falls below
     config.epsilon. step_callback(step_index, params), when given, runs
     after every outer update. Returns a TrainResult whose history has one
-    EpochRecord per completed epoch.
+    EpochRecord per completed epoch. A task loss that is not finite stops
+    training before its update with a ValueError naming the epoch, the step
+    and the task.
     """
     if mode not in MODES:
         raise ValueError(f"unknown training mode {mode!r}")
@@ -320,11 +346,12 @@ def train(config, train_set, val_set, task_set, mode=MODE_METASETS, step_callbac
     for epoch in range(1, config.max_epochs + 1):
         order = streams["order"].permutation(len(train_clouds))
         step_losses = []
-        for lo in range(0, len(order), config.batch_size):
+        for step, lo in enumerate(range(0, len(order), config.batch_size), start=1):
             batch_idx = order[lo : lo + config.batch_size]
             indices = draw(probabilities, config.tasks_per_step, streams["tasks"])
             labels = train_labels[batch_idx]
             result = _meta_step(params, labels, indices, eta, step_batches(batch_idx))
+            _check_losses(result, epoch, step)
             adam, params = network.adam_step(adam, params, result.grads, config.beta)
             step_index += 1
             step_losses.append(result.loss)

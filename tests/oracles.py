@@ -10,12 +10,17 @@ import numpy as np
 PARAM_KEYS = ("w1", "b1", "w2", "b2", "w3", "b3", "w4", "b4", "w5", "b5")
 
 
-def mini_logits(params, pts):
-    """Single-cloud forward: per-point MLP, max pool, head."""
+def point_features(params, pts):
+    """Single-cloud per-point MLP: the (n, 256) features that the max pool reduces."""
     h = pts
     for i in (1, 2, 3):
         h = np.maximum(h @ params[f"w{i}"] + params[f"b{i}"], 0.0)
-    pooled = h.max(axis=0)
+    return h
+
+
+def mini_logits(params, pts):
+    """Single-cloud forward: per-point MLP, max pool, head."""
+    pooled = point_features(params, pts).max(axis=0)
     h4 = np.maximum(pooled @ params["w4"] + params["b4"], 0.0)
     return h4 @ params["w5"] + params["b5"]
 

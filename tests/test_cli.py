@@ -2,6 +2,7 @@
 
 import importlib.metadata
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -138,6 +139,30 @@ def test_transform_rejects_infinite_gate_and_overflowing_cloud(cloud_file, tmp_p
                         "--out", str(out), str(huge)]) == 4
         assert "point distances are not finite" in capsys.readouterr().err
         assert not (out / huge.name).exists()
+
+
+def test_transform_writes_nothing_when_a_file_fails(cloud_file, tmp_path, capsys):
+    """Every file is transformed before any is written; the error names the file."""
+    huge = tmp_path / "huge.txt"
+    data.save_cloud(huge, PointCloud(data.load_cloud(cloud_file).points * 1e200, 0))
+    out = tmp_path / "o"
+    assert run_cli(["transform", "--kind", "dropping", "--x", "30", "--seed", "0",
+                    "--out", str(out), str(cloud_file), str(huge)]) == 4
+    err = capsys.readouterr().err
+    assert f"error: {huge}: point distances are not finite" in err
+    assert not out.exists()
+
+
+def test_transform_rejects_overflowing_occlusion_cells(tmp_path, capsys):
+    """Cell indices past the float range would merge cells; the transform exits 4."""
+    src = tmp_path / "far.txt"
+    data.save_cloud(src, PointCloud(
+        np.array([[0.0, 0.0, 0.0], [1e10, -1e10, 0.0], [2e10, -3e10, 0.5]]), 0))
+    out = tmp_path / "o"
+    assert run_cli(["transform", "--kind", "occlusion", "--w", "1e-300", "--seed", "0",
+                    "--out", str(out), str(src)]) == 4
+    assert f"error: {src}: occlusion cell indices are not finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_transform_seed_determinism(cloud_file, tmp_path):
@@ -291,6 +316,20 @@ def test_train_reports_config_and_data_errors(bench_dir, tmp_path):
                     "--seed", "0", "--out", str(tmp_path / "r")]) == 4
     assert run_cli(["train", "--manifest", str(bench_dir), "--mode", "warp",
                     "--seed", "0", "--out", str(tmp_path / "r")]) == 2
+
+
+def test_train_stops_on_non_finite_loss(bench_dir, tmp_path, capsys):
+    """A diverging run exits 4 naming epoch, step and task, and writes nothing."""
+    cfg = tmp_path / "diverge.cfg"
+    cfg.write_text("mode = none\nbeta = 1e200\nbatch_size = 4\nmax_epochs = 2\n")
+    out = tmp_path / "r"
+    with np.errstate(all="ignore"):
+        code = run_cli(["train", "--manifest", str(bench_dir), "--config", str(cfg),
+                        "--seed", "0", "--out", str(out)])
+    assert code == 4
+    assert re.search(r"error: epoch 1, step \d+, task raw: training loss is nan",
+                     capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_eval_reports_accuracy(trained_dir, bench_dir, tmp_path, capsys):

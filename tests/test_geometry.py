@@ -1,5 +1,7 @@
 """Unit tests for normalization and the corruption transforms."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from metacloud.geometry import (
     normalize_unit_ball,
     random_unit_vector,
     self_occlude,
+    transform_rows,
     viewing_frame,
 )
 
@@ -279,6 +282,17 @@ def test_self_occlude_keeps_cell_minima():
         assert sorted(cells.values()) == sorted(kept)
 
 
+def test_self_occlude_rejects_overflowing_cell_indices():
+    """A cell index past the float range would be inf and merge distinct cells."""
+    pts = np.array([[0.0, 0.0, 0.0], [1e10, -1e10, 0.0], [2e10, -3e10, 0.5]])
+    view = np.array([0.0, 0.0, 1.0])
+    np.testing.assert_array_equal(self_occlude(pts, view, 1e-290), pts)
+    with pytest.raises(ValueError, match="cell indices are not finite"):
+        self_occlude(pts, view, 1e-300)
+    with pytest.raises(ValueError, match="cell indices are not finite"):
+        apply_transform(TransformSpec("occlusion", 1e-300), pts, np.random.default_rng(0))
+
+
 def test_self_occlude_depth_tie_breaks_to_lower_index():
     pts = np.array([[0.0, 0.0, 0.5], [0.05, 0.0, 0.5], [0.9, 0.0, 0.5]])
     out = self_occlude(pts, np.array([0.0, 0.0, 1.0]), 0.2)
@@ -385,3 +399,25 @@ def test_apply_transform_returns_ordered_subset_or_raises(kind, data):
         return
     assert len(out) >= 1
     survivor_indices(pts, out)
+
+
+@pytest.mark.parametrize("kind", sorted(SPEC_VALUES))
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_transform_rows_picks_what_apply_transform_keeps(kind, data):
+    """Strictly increasing rows, the same cloud as apply_transform, the same draws."""
+    spec = TransformSpec(kind, data.draw(SPEC_VALUES[kind], label="value"))
+    pts = data.draw(awkward_clouds(), label="points")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng_rows, rng_apply = np.random.default_rng(seed), np.random.default_rng(seed)
+    try:
+        rows = transform_rows(spec, pts, rng_rows)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            apply_transform(spec, pts, rng_apply)
+        return
+    out = apply_transform(spec, pts, rng_apply)
+    assert len(rows) >= 1 and rows[0] >= 0 and rows[-1] < len(pts)
+    assert (np.diff(rows) > 0).all()
+    np.testing.assert_array_equal(pts[rows], out)
+    assert rng_rows.bit_generator.state == rng_apply.bit_generator.state

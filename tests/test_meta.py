@@ -5,7 +5,7 @@ import pytest
 
 import metacloud.meta as meta
 from metacloud.data import Dataset
-from metacloud.geometry import PointCloud, TransformSpec, normalize_unit_ball
+from metacloud.geometry import PointCloud, TransformSpec, apply_transform, normalize_unit_ball
 from metacloud.meta import (
     DEFAULT_TASK_RANGES,
     FIXED_TASK_VALUES,
@@ -26,7 +26,14 @@ from metacloud.meta import (
     write_history_csv,
     write_summary,
 )
-from metacloud.network import PARAM_KEYS, evaluate, init_params, loss_and_grad, sgd_step
+from metacloud.network import (
+    EVAL_POINTS,
+    PARAM_KEYS,
+    evaluate,
+    init_params,
+    loss_and_grad,
+    sgd_step,
+)
 
 
 def toy_dataset(seed, per_class=4, n_points=16, n_classes=3):
@@ -242,6 +249,53 @@ def test_meta_validate_identity_equals_plain_evaluate():
     np.testing.assert_array_equal(accs, [acc, acc])
 
 
+def test_meta_validate_equals_corrupt_then_evaluate():
+    """Scoring rows of the clean clouds gives the bits of scoring corrupted copies.
+
+    Mixed sizes whose clean rows cross EVAL_POINTS, one cloud larger than
+    EVAL_POINTS, an identity task and a task that leaves one point per cloud.
+    """
+    rng = np.random.default_rng(40)
+    sizes = [int(n) for n in rng.integers(2, 200, size=30)]
+    sizes.insert(7, EVAL_POINTS + 100)
+    clouds = [normalize_unit_ball(rng.standard_normal((n, 3))) for n in sizes]
+    labels = rng.integers(0, 3, size=len(clouds))
+    specs = [
+        TransformSpec("identity"),
+        TransformSpec("density", 1.4),
+        TransformSpec("dropping", 36.0),
+        TransformSpec("occlusion", 0.25),
+        TransformSpec("occlusion", 10.0),
+    ]
+    ts = TaskSet(specs, np.full(len(specs), 1.0 / len(specs)))
+    assert sum(sizes) > 2 * EVAL_POINTS
+    for seed in (41, 42):
+        params = init_params(3, np.random.default_rng(seed))
+        losses, accs = meta_validate(params, ts, clouds, labels, np.random.default_rng(seed))
+        draws = np.random.default_rng(seed)
+        for t, spec in enumerate(specs):
+            corrupted = [apply_transform(spec, c, draws) for c in clouds]
+            if spec.value == 10.0:
+                assert {len(c) for c in corrupted} == {1}
+            loss, acc = evaluate(params, corrupted, labels)
+            assert losses[t] == loss and accs[t] == acc, (seed, spec)
+
+
+def test_static_validation_caches_rows_not_clouds(monkeypatch):
+    """Static mode draws validation rows once; every epoch scores the same rows."""
+    seen = []
+    real = meta.network.evaluate_tasks
+
+    def recording(params, clouds, task_rows, labels):
+        seen.append(task_rows)
+        return real(params, clouds, task_rows, labels)
+
+    monkeypatch.setattr(meta.network, "evaluate_tasks", recording)
+    train(quick_config(max_epochs=2), toy_dataset(43), toy_dataset(44), build_task_set("paper"),
+          mode=MODE_STATIC)
+    assert len(seen) == 2 and seen[0] is seen[1]
+
+
 def test_meta_validate_scores_every_task():
     ds = toy_dataset(21)
     clouds, labels = ds.points_and_labels()
@@ -382,6 +436,20 @@ def test_train_metasets_collapses_to_none_under_identity_tasks():
     b = train(cfg, ds, ds, identity_task_set(), mode=MODE_NONE)
     for key in PARAM_KEYS:
         np.testing.assert_array_equal(a.params[key], b.params[key])
+
+
+@pytest.mark.parametrize("mode", [MODE_NONE, MODE_AUGMENT, MODE_NO_SOFT])
+def test_train_stops_at_first_non_finite_loss(mode):
+    """A diverging run stops before its update instead of writing nan parameters."""
+    ds = toy_dataset(45)
+    cfg = quick_config(tasks_per_step=2, beta=1e200, eta=1e300 if mode == MODE_NO_SOFT else 0.01)
+    steps = []
+    with np.errstate(all="ignore"), pytest.raises(
+        ValueError, match=r"^epoch 1, step \d+, task (raw|\d+): training loss is \S+ before and nan"
+    ):
+        train(cfg, ds, ds, build_task_set("paper"), mode=mode,
+              step_callback=lambda i, p: steps.append(all(np.isfinite(v).all() for v in p.values())))
+    assert all(steps)
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ from metacloud.network import (
     AdamState,
     adam_step,
     evaluate,
+    evaluate_tasks,
     forward,
     init_adam,
     init_params,
@@ -25,7 +26,14 @@ from metacloud.network import (
     sgd_step,
 )
 
-from oracles import dense_loss_and_grad, fd_naive, mini_logits, mini_loss, relative_error
+from oracles import (
+    dense_loss_and_grad,
+    fd_naive,
+    mini_logits,
+    mini_loss,
+    point_features,
+    relative_error,
+)
 
 
 def tiny_batch(seed, n_clouds=4, n_classes=3, min_pts=5, max_pts=12):
@@ -135,6 +143,58 @@ def test_forward_chunking_transparent(monkeypatch):
         if following is not None:
             assert rows + len(mixed[first + count]) > EVAL_POINTS
         first += count
+
+
+def test_ragged_pool_matches_per_cloud_reference():
+    """A pack of mixed sizes pools each cloud as the per-cloud oracle does, bit for bit.
+
+    Covers ties (repeated rows), features that are zero over a whole cloud
+    and a two-point cloud. Every cloud has two or more points, so every
+    product has more than one row and each row gets the same bits packed or
+    alone.
+    """
+    rng = np.random.default_rng(30)
+    params = init_params(3, rng)
+    clouds = [rng.standard_normal((int(n), 3)) for n in rng.integers(2, 60, size=15)]
+    clouds.append(np.repeat(clouds[0][:3], 4, axis=0))
+    clouds.append(rng.standard_normal((2, 3)))
+    clouds.append(-np.abs(rng.standard_normal((9, 3))) * 50.0)
+    pts, starts, width = network._pack(clouds)
+    assert width is None
+    pooled = network._forward_packed(params, pts, starts, width)[3]
+    want = np.stack([point_features(params, c).max(axis=0) for c in clouds])
+    assert (want == 0.0).any()
+    np.testing.assert_array_equal(pooled, want)
+
+
+def test_evaluate_tasks_equals_evaluate_on_subsets():
+    """Each task's logits and score are evaluate's on the row subsets, bit for bit.
+
+    The clouds' sizes make both packings awkward: a one-point cloud that
+    goes through the clean pass alone but among others as a one-row subset,
+    and a one-row subset that evaluate packs alone while its clean cloud
+    has 40 points. Clouds of EVAL_POINTS rows and more go alone in both.
+    """
+    rng = np.random.default_rng(32)
+    params = init_params(3, rng)
+    sizes = [5, 300, EVAL_POINTS + 10, 1, EVAL_POINTS, 40, EVAL_POINTS, 2, 7, 3]
+    clouds = [rng.standard_normal((n, 3)) for n in sizes]
+    labels = rng.integers(0, 3, size=len(clouds))
+    everything = [np.arange(n) for n in sizes]
+    task_rows = [
+        everything,
+        [np.array([int(rng.integers(n))]) for n in sizes],
+        [np.sort(rng.choice(n, size=max(1, n // 3), replace=False)) for n in sizes],
+        everything[:5] + [np.array([17])] + everything[6:],
+    ]
+    logits = network._task_logits(params, clouds, task_rows)
+    losses, accs = evaluate_tasks(params, clouds, task_rows, labels)
+    assert losses.shape == accs.shape == (len(task_rows),)
+    for t, rows in enumerate(task_rows):
+        subsets = [c[r] for c, r in zip(clouds, rows)]
+        np.testing.assert_array_equal(logits[t], logits_batch(params, subsets))
+        loss, acc = evaluate(params, subsets, labels)
+        assert losses[t] == loss and accs[t] == acc, t
 
 
 def test_loss_batch_uniform_logits():
