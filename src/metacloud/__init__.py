@@ -4,11 +4,11 @@ from .geometry import (
     PointCloud,
     TransformSpec,
     apply_transform,
-    distance_thin,
-    drop_nearest,
+    density_rows,
+    dropping_rows,
     normalize_unit_ball,
+    occlusion_rows,
     random_unit_vector,
-    self_occlude,
     transform_rows,
 )
 from .meta import (
@@ -31,14 +31,14 @@ __all__ = [
     "TrainConfig",
     "apply_transform",
     "build_task_set",
-    "distance_thin",
-    "drop_nearest",
+    "density_rows",
+    "dropping_rows",
     "meta_train_step",
     "meta_validate",
     "normalize_unit_ball",
+    "occlusion_rows",
     "random_unit_vector",
     "sample_task_indices",
-    "self_occlude",
     "train",
     "transform_rows",
     "update_probabilities",

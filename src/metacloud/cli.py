@@ -51,9 +51,9 @@ class ConfigError(ValueError):
 
 
 def read_config(path):
-    """Parse a flat key-value config file ("key = value", # comments)."""
+    """Parse a flat key-value config file ("key = value", # comments) of UTF-8 text."""
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(data._read_text(Path(path), ConfigError).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

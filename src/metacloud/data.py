@@ -284,14 +284,14 @@ def save_cloud(path, cloud):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _read_text(path):
-    """A file's UTF-8 text; other bytes raise DatasetFormatError with file:line."""
+def _read_text(path, error=DatasetFormatError):
+    """A file's UTF-8 text; other bytes raise error (a ValueError type) with file:line."""
     raw = path.read_bytes()
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = raw.count(b"\n", 0, exc.start) + 1
-        raise DatasetFormatError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
+        raise error(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
 
 
 def load_cloud(path):

@@ -1,8 +1,11 @@
 """Point cloud normalization and stochastic corruption transforms.
 
 All functions operate on (n, 3) float64 arrays of xyz coordinates and never
-mutate their inputs. Transformed clouds are always row subsets of the input
-cloud, in the original relative order.
+mutate their inputs. A corruption keeps a subset of the input cloud's rows,
+so each kind is one row function (density_rows, dropping_rows,
+occlusion_rows) returning the kept row indices in increasing order;
+transform_rows draws a kind's dynamic parameters and calls it, and
+apply_transform alone returns the kept points.
 """
 
 import math
@@ -78,7 +81,7 @@ def _distances(points, origin):
     return d
 
 
-def distance_thin(points, anchor, gate, rng):
+def density_rows(points, anchor, gate, rng):
     """Drop points with probability growing with distance from an anchor.
 
     Distances to the anchor are min-max normalized to basic rates in [0, 1];
@@ -89,22 +92,17 @@ def distance_thin(points, anchor, gate, rng):
     Args:
         points: (n, 3) array.
         anchor: (3,) position the thinning is centered on (on the unit
-            sphere when driven by apply_transform).
+            sphere when driven by transform_rows).
         gate: rate multiplier, finite and > 1.
         rng: numpy Generator for the per-point survival draws.
 
     Returns:
-        Surviving rows of points, original order; never empty.
+        Strictly increasing indices of the surviving rows; never empty.
 
     Raises:
         ValueError: bad gate, or a distance to the anchor is not finite.
     """
     points = _check_points(points)
-    return points[_thin_rows(points, anchor, gate, rng)]
-
-
-def _thin_rows(points, anchor, gate, rng):
-    """Sorted indices of the rows distance_thin keeps."""
     anchor = np.asarray(anchor, dtype=np.float64).reshape(3)
     if not 1.0 < gate < np.inf:
         raise ValueError(f"gate must be finite and > 1, got {gate}")
@@ -120,11 +118,11 @@ def _thin_rows(points, anchor, gate, rng):
 
 
 def drop_count(n, percent):
-    """Number of points removed by drop_nearest: round-half-up of n*percent/100."""
+    """Number of points removed by dropping_rows: round-half-up of n*percent/100."""
     return int(np.floor(n * percent / 100.0 + 0.5))
 
 
-def drop_nearest(points, anchor_index, percent):
+def dropping_rows(points, anchor_index, percent):
     """Remove the m points nearest to an existing anchor point.
 
     m is the round-half-up of n * percent / 100. Distance ties are broken
@@ -137,18 +135,13 @@ def drop_nearest(points, anchor_index, percent):
         percent: drop percentage, 0 < percent < 100.
 
     Returns:
-        The n - m surviving rows, original order.
+        Strictly increasing indices of the n - m surviving rows.
 
     Raises:
         ValueError: bad percent, bad anchor index, n < 2, m >= n, or a
             distance to the anchor is not finite.
     """
     points = _check_points(points)
-    return points[_nearest_rows(points, anchor_index, percent)]
-
-
-def _nearest_rows(points, anchor_index, percent):
-    """Sorted indices of the rows drop_nearest keeps."""
     n = len(points)
     if n < 2:
         raise ValueError("dropping needs at least 2 points")
@@ -194,7 +187,7 @@ def _cross(a, b):
     return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
 
 
-def self_occlude(points, direction, cell_size):
+def occlusion_rows(points, direction, cell_size):
     """Keep only the point nearest the viewer in each in-plane grid cell.
 
     Points are expressed in the viewing frame of `direction`: in-plane
@@ -209,18 +202,14 @@ def self_occlude(points, direction, cell_size):
         cell_size: grid cell side W > 0.
 
     Returns:
-        One surviving row per occupied cell, original order.
+        Strictly increasing indices of the surviving rows, one per occupied
+        cell.
 
     Raises:
         ValueError: bad cell size, or a cell index is not finite (the
             in-plane extent over cell_size passes the float range).
     """
     points = _check_points(points)
-    return points[_occlude_rows(points, direction, cell_size)]
-
-
-def _occlude_rows(points, direction, cell_size):
-    """Sorted indices of the rows self_occlude keeps."""
     if not cell_size > 0.0:
         raise ValueError(f"cell size must be > 0, got {cell_size}")
     u, w, v = viewing_frame(direction)
@@ -297,11 +286,11 @@ def transform_rows(spec, points, rng):
     if spec.kind == KIND_IDENTITY:
         return np.arange(len(points))
     if spec.kind == KIND_DENSITY:
-        return _thin_rows(points, random_unit_vector(rng), spec.value, rng)
+        return density_rows(points, random_unit_vector(rng), spec.value, rng)
     if spec.kind == KIND_DROPPING:
-        return _nearest_rows(points, int(rng.integers(len(points))), spec.value)
+        return dropping_rows(points, int(rng.integers(len(points))), spec.value)
     if spec.kind == KIND_OCCLUSION:
-        return _occlude_rows(points, random_unit_vector(rng), spec.value)
+        return occlusion_rows(points, random_unit_vector(rng), spec.value)
     raise ValueError(f"unknown transform kind {spec.kind!r}")
 
 

@@ -28,7 +28,6 @@ from .geometry import (
     KIND_DROPPING,
     KIND_OCCLUSION,
     TransformSpec,
-    apply_transform,
     transform_rows,
 )
 
@@ -142,13 +141,16 @@ class MetaStepResult:
     adapted_losses: np.ndarray
 
 
-def _corrupt(spec, clouds, rng):
-    return [apply_transform(spec, c, rng) for c in clouds]
+def _task_rows(spec, clouds, rng):
+    """Rows one task keeps of each cloud, drawn from rng in cloud order."""
+    return [transform_rows(spec, c, rng) for c in clouds]
 
 
-def _fresh_batches(task_set, clouds, rng):
-    """task_batch for _meta_step: task t's fresh draws on clouds; t None is the raw batch."""
-    return lambda t: clouds if t is None else _corrupt(task_set.transforms[t], clouds, rng)
+def _task_batch(task_set, clouds, t, rng):
+    """Task t's corrupted copies of clouds, from freshly drawn rows; t None is the raw batch."""
+    if t is None:
+        return clouds
+    return [c[r] for c, r in zip(clouds, _task_rows(task_set.transforms[t], clouds, rng))]
 
 
 def _meta_step(params, labels, indices, eta, task_batch):
@@ -190,8 +192,9 @@ def meta_train_step(params, task_set, clouds, labels, k, eta, task_rng, transfor
     Duplicate task draws simply contribute twice.
     """
     indices = sample_task_indices(task_set.probabilities, k, task_rng)
-    task_batch = _fresh_batches(task_set, clouds, transform_rng)
-    return _meta_step(params, labels, indices, eta, task_batch)
+    return _meta_step(
+        params, labels, indices, eta, lambda t: _task_batch(task_set, clouds, t, transform_rng)
+    )
 
 
 def meta_validate(params, task_set, clouds, labels, rng):
@@ -202,26 +205,23 @@ def meta_validate(params, task_set, clouds, labels, rng):
     the network scores every task from one pass over the clean clouds.
     Returns (losses, accuracies), one entry per task.
     """
-    return network.evaluate_tasks(params, clouds, _task_rows(task_set, clouds, rng), labels)
-
-
-def _task_rows(task_set, clouds, rng):
-    """Rows each task keeps of each cloud, drawn task major, cloud minor."""
-    return [[transform_rows(spec, c, rng) for c in clouds] for spec in task_set.transforms]
+    task_rows = [_task_rows(spec, clouds, rng) for spec in task_set.transforms]
+    return network.evaluate_tasks(params, clouds, task_rows, labels)
 
 
 def _task_source(cached, task_set, train_clouds, val_clouds, val_labels, streams):
-    """(step_batches, validate) for train: fresh draws each time, or drawn once up front."""
+    """(task_batch(idx, t), validate(params)) for train: fresh draws, or drawn once up front."""
+    rng = streams["transform"]
     if cached:
-        rng = streams["transform"]
-        train_cache = [_corrupt(spec, train_clouds, rng) for spec in task_set.transforms]
-        val_rows = _task_rows(task_set, val_clouds, rng)
+        tasks = range(len(task_set.transforms))
+        train_cache = [_task_batch(task_set, train_clouds, t, rng) for t in tasks]
+        val_rows = [_task_rows(spec, val_clouds, rng) for spec in task_set.transforms]
         return (
-            lambda idx: lambda t: [train_cache[t][i] for i in idx],
+            lambda idx, t: [train_cache[t][i] for i in idx],
             lambda p: network.evaluate_tasks(p, val_clouds, val_rows, val_labels),
         )
     return (
-        lambda idx: _fresh_batches(task_set, [train_clouds[i] for i in idx], streams["transform"]),
+        lambda idx, t: _task_batch(task_set, [train_clouds[i] for i in idx], t, rng),
         lambda p: meta_validate(p, task_set, val_clouds, val_labels, streams["validate"]),
     )
 
@@ -263,6 +263,9 @@ class TrainConfig:
     max_epochs: int = 30
 
     def __post_init__(self):
+        for key in ("eta", "beta", "epsilon"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.tasks_per_step < 1:
@@ -336,7 +339,7 @@ def train(config, train_set, val_set, task_set, mode=MODE_METASETS, step_callbac
     draw = {MODE_NONE: _draw_raw, MODE_AUGMENT: _draw_one_uniform}.get(mode, sample_task_indices)
     soft = mode in (MODE_METASETS, MODE_STATIC)
     eta = 0.0 if mode in (MODE_NONE, MODE_AUGMENT) else config.eta
-    step_batches, validate = _task_source(
+    task_batch, validate = _task_source(
         mode == MODE_STATIC, task_set, train_clouds, val_clouds, val_labels, streams
     )
 
@@ -350,7 +353,7 @@ def train(config, train_set, val_set, task_set, mode=MODE_METASETS, step_callbac
             batch_idx = order[lo : lo + config.batch_size]
             indices = draw(probabilities, config.tasks_per_step, streams["tasks"])
             labels = train_labels[batch_idx]
-            result = _meta_step(params, labels, indices, eta, step_batches(batch_idx))
+            result = _meta_step(params, labels, indices, eta, lambda t: task_batch(batch_idx, t))
             _check_losses(result, epoch, step)
             adam, params = network.adam_step(adam, params, result.grads, config.beta)
             step_index += 1

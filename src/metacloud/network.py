@@ -404,8 +404,12 @@ def load_checkpoint(path):
             if header["version"] != CHECKPOINT_VERSION:
                 raise ValueError(f"unsupported checkpoint version {header['version']}")
             adam = {key: header["adam"][key] for key in ("step", "beta1", "beta2", "eps")}
+            if type(adam["step"]) is not int or adam["step"] < 0:
+                raise ValueError(f"Adam step must be a non-negative int, got {adam['step']!r}")
             shapes = {name: [int(n) for n in shape] for name, shape in header["arrays"]}
-            class_names = list(header["class_names"])
+            class_names = header["class_names"]
+            if type(class_names) is not list or not all(type(n) is str for n in class_names):
+                raise ValueError(f"class names must be a list of strings, got {class_names!r}")
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: bad checkpoint header ({exc!r})") from None
         groups = {"param": {}, "adam_m": {}, "adam_v": {}}

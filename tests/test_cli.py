@@ -253,6 +253,11 @@ def test_read_config_errors_carry_line_numbers(tmp_path):
     with pytest.raises(ConfigError, match="unknown task_params"):
         read_config(bad_tasks)
 
+    not_utf8 = tmp_path / "f.cfg"
+    not_utf8.write_bytes(b"seed = 3\nmode = none \xff\n")
+    with pytest.raises(ConfigError, match=r"f\.cfg:2: not UTF-8 text"):
+        read_config(not_utf8)
+
 
 # ------------------------------------------------------------------ train/eval
 
@@ -307,11 +312,20 @@ def test_train_requires_a_seed(bench_dir, tmp_path):
                     "--out", str(tmp_path / "r")]) == 2
 
 
-def test_train_reports_config_and_data_errors(bench_dir, tmp_path):
+def test_train_reports_config_and_data_errors(bench_dir, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("warp_factor = 9\n")
     assert run_cli(["train", "--manifest", str(bench_dir), "--config", str(cfg),
                     "--seed", "0", "--out", str(tmp_path / "r")]) == 3
+    cfg.write_bytes(b"seed = 3\nmode = none \xff\n")
+    assert run_cli(["train", "--manifest", str(bench_dir), "--config", str(cfg),
+                    "--out", str(tmp_path / "r")]) == 3
+    assert f"error: {cfg}:2: not UTF-8 text" in capsys.readouterr().err
+    cfg.write_text("seed = 0\nepsilon = inf\n")
+    assert run_cli(["train", "--manifest", str(bench_dir), "--config", str(cfg),
+                    "--out", str(tmp_path / "r")]) == 4
+    assert "error: epsilon must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
     assert run_cli(["train", "--manifest", str(tmp_path / "nowhere"),
                     "--seed", "0", "--out", str(tmp_path / "r")]) == 4
     assert run_cli(["train", "--manifest", str(bench_dir), "--mode", "warp",

@@ -12,12 +12,12 @@ from metacloud.geometry import (
     DegenerateCloudError,
     TransformSpec,
     apply_transform,
-    distance_thin,
+    density_rows,
     drop_count,
-    drop_nearest,
+    dropping_rows,
     normalize_unit_ball,
+    occlusion_rows,
     random_unit_vector,
-    self_occlude,
     transform_rows,
     viewing_frame,
 )
@@ -73,7 +73,14 @@ def test_random_unit_vector_uniform():
     assert (np.abs(draws.mean(axis=0)) < 0.02).all()
 
 
-# ------------------------------------------------------------- distance_thin
+def assert_rows(rows, n):
+    """Rows of an n-point cloud: a non-empty, strictly increasing int array in range."""
+    assert rows.dtype.kind == "i" and rows.ndim == 1
+    assert len(rows) >= 1 and rows[0] >= 0 and rows[-1] < n
+    assert (np.diff(rows) > 0).all()
+
+
+# -------------------------------------------------------------- density_rows
 
 
 def test_distance_thin_subset_and_edge_laws():
@@ -85,8 +92,8 @@ def test_distance_thin_subset_and_edge_laws():
         gate = rng.uniform(1.1, 2.5)
         d = np.linalg.norm(pts - anchor, axis=1)
         rate = (d - d.min()) / (d.max() - d.min())
-        out = distance_thin(pts, anchor, gate, rng)
-        kept = survivor_indices(pts, out)
+        kept = density_rows(pts, anchor, gate, rng)
+        assert_rows(kept, len(pts))
         assert int(d.argmin()) in kept
         doomed = np.where(gate * rate >= 1.0)[0]
         assert not set(doomed) & set(kept)
@@ -104,8 +111,7 @@ def test_distance_thin_survival_frequencies():
     trials = 4000
     counts = np.zeros(len(pts))
     for _ in range(trials):
-        kept = survivor_indices(pts, distance_thin(pts, anchor, gate, rng))
-        counts[kept] += 1
+        counts[density_rows(pts, anchor, gate, rng)] += 1
     freq = counts / trials
     sigma = np.sqrt(expected * (1.0 - expected) / trials)
     assert (np.abs(freq - expected) < 5.0 * sigma + 1e-9).all()
@@ -115,8 +121,7 @@ def test_distance_thin_equidistant_cloud_untouched():
     rng = np.random.default_rng(6)
     anchor = np.array([0.0, 0.0, 2.0])
     pts = np.array([anchor + 0.5 * random_unit_vector(rng) for _ in range(40)])
-    out = distance_thin(pts, anchor, 1.6, rng)
-    np.testing.assert_array_equal(out, pts)
+    np.testing.assert_array_equal(density_rows(pts, anchor, 1.6, rng), np.arange(40))
 
 
 def test_distance_thin_mean_survivors_decrease_with_gate():
@@ -129,7 +134,7 @@ def test_distance_thin_mean_survivors_decrease_with_gate():
         total = 0
         draw = np.random.default_rng(9)
         for _ in range(200):
-            total += len(distance_thin(pts, anchor, gate, draw))
+            total += len(density_rows(pts, anchor, gate, draw))
         means.append(total / 200.0)
     assert means[0] > means[1] > means[2]
 
@@ -138,14 +143,14 @@ def test_distance_thin_validates_gate():
     rng = np.random.default_rng(10)
     pts = random_cloud(rng, n=8)
     with pytest.raises(ValueError):
-        distance_thin(pts, np.zeros(3), 1.0, rng)
+        density_rows(pts, np.zeros(3), 1.0, rng)
     with pytest.raises(ValueError):
-        distance_thin(pts, np.zeros(3), np.inf, rng)
+        density_rows(pts, np.zeros(3), np.inf, rng)
     with pytest.raises(ValueError, match="not finite"):
-        distance_thin(pts * 1e200, np.zeros(3), 1.4, rng)
+        density_rows(pts * 1e200, np.zeros(3), 1.4, rng)
 
 
-# -------------------------------------------------------------- drop_nearest
+# ------------------------------------------------------------- dropping_rows
 
 
 def test_drop_count_rounds_half_up():
@@ -159,8 +164,7 @@ def test_drop_nearest_collinear_example():
     """Ten unit-spaced points, anchor leftmost, 30% -> 3 leftmost removed."""
     pts = np.zeros((10, 3))
     pts[:, 0] = np.arange(10.0)
-    out = drop_nearest(pts, 0, 30.0)
-    np.testing.assert_array_equal(out, pts[3:])
+    np.testing.assert_array_equal(dropping_rows(pts, 0, 30.0), np.arange(3, 10))
 
 
 def test_drop_nearest_count_law():
@@ -170,35 +174,35 @@ def test_drop_nearest_count_law():
         pts = random_cloud(rng, n=n)
         percent = float(rng.uniform(5.0, 90.0))
         anchor = int(rng.integers(n))
-        out = drop_nearest(pts, anchor, percent)
-        kept = survivor_indices(pts, out)
-        assert len(out) == n - drop_count(n, percent)
+        kept = dropping_rows(pts, anchor, percent)
+        assert_rows(kept, n)
+        assert len(kept) == n - drop_count(n, percent)
         assert anchor not in kept  # the anchor is its own nearest point
 
 
 def test_drop_nearest_tie_breaks_to_lower_index():
     pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
-    out = drop_nearest(pts, 0, 50.0)  # m = 2: anchor plus the first of the tied pair
-    np.testing.assert_array_equal(out, pts[2:])
+    kept = dropping_rows(pts, 0, 50.0)  # m = 2: anchor plus the first of the tied pair
+    np.testing.assert_array_equal(kept, [2, 3])
 
 
 def test_drop_nearest_rejects_bad_input():
     pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     with pytest.raises(ValueError):
-        drop_nearest(pts, 0, 0.0)
+        dropping_rows(pts, 0, 0.0)
     with pytest.raises(ValueError):
-        drop_nearest(pts, 0, 100.0)
+        dropping_rows(pts, 0, 100.0)
     with pytest.raises(ValueError):
-        drop_nearest(pts, 5, 30.0)
+        dropping_rows(pts, 5, 30.0)
     with pytest.raises(ValueError):
-        drop_nearest(pts[:1], 0, 30.0)
+        dropping_rows(pts[:1], 0, 30.0)
     with pytest.raises(ValueError):
-        drop_nearest(pts, 0, 99.0)  # m = 2 would empty the cloud
+        dropping_rows(pts, 0, 99.0)  # m = 2 would empty the cloud
     with pytest.raises(ValueError, match="not finite"):
-        drop_nearest(np.vstack([pts, pts + 1.0]) * 1e200, 0, 30.0)  # distances overflow
+        dropping_rows(np.vstack([pts, pts + 1.0]) * 1e200, 0, 30.0)  # distances overflow
 
 
-# -------------------------------------------------------------- self_occlude
+# ------------------------------------------------------------ occlusion_rows
 
 
 def test_viewing_frame_is_orthonormal():
@@ -235,18 +239,16 @@ def test_self_occlude_worked_example():
     pts = np.array(
         [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.5, 0.0, 0.0], [0.5, 0.0, 1.0]]
     )
-    out = self_occlude(pts, np.array([0.0, 0.0, -1.0]), 0.3)
-    np.testing.assert_array_equal(out, pts[[1, 3]])
+    np.testing.assert_array_equal(occlusion_rows(pts, np.array([0.0, 0.0, -1.0]), 0.3), [1, 3])
 
 
 def test_self_occlude_huge_cell_keeps_one_point():
     rng = np.random.default_rng(13)
     pts = random_cloud(rng, n=100)
     direction = random_unit_vector(rng)
-    out = self_occlude(pts, direction, 10.0)
-    assert out.shape == (1, 3)
+    kept = occlusion_rows(pts, direction, 10.0)
     depth = pts @ (direction / np.linalg.norm(direction))
-    np.testing.assert_array_equal(out[0], pts[depth.argmin()])
+    np.testing.assert_array_equal(kept, [depth.argmin()])
 
 
 def test_self_occlude_tiny_cell_keeps_everything():
@@ -257,10 +259,10 @@ def test_self_occlude_tiny_cell_keeps_everything():
     plane = np.stack([pts @ u, pts @ w], axis=1)
     gaps = np.abs(plane[:, None, :] - plane[None, :, :]).max(axis=2)
     gaps[np.arange(len(pts)), np.arange(len(pts))] = np.inf
-    out = self_occlude(pts, direction, 0.99 * gaps.min())
-    np.testing.assert_array_equal(out, pts)
+    everything = np.arange(len(pts))
+    np.testing.assert_array_equal(occlusion_rows(pts, direction, 0.99 * gaps.min()), everything)
     # Cell indices far past the int64 range still tell the cells apart.
-    np.testing.assert_array_equal(self_occlude(pts, direction, 1e-300), pts)
+    np.testing.assert_array_equal(occlusion_rows(pts, direction, 1e-300), everything)
 
 
 def test_self_occlude_keeps_cell_minima():
@@ -270,8 +272,8 @@ def test_self_occlude_keeps_cell_minima():
         pts = random_cloud(rng, n=80)
         direction = random_unit_vector(rng)
         cell = float(rng.uniform(0.05, 0.5))
-        out = self_occlude(pts, direction, cell)
-        kept = survivor_indices(pts, out)
+        kept = occlusion_rows(pts, direction, cell)
+        assert_rows(kept, len(pts))
         u, w, v = viewing_frame(direction)
         a, b, c = pts @ u, pts @ w, pts @ v
         cells = {}
@@ -279,33 +281,32 @@ def test_self_occlude_keeps_cell_minima():
             key = (int(np.floor((a[i] - a.min()) / cell)), int(np.floor((b[i] - b.min()) / cell)))
             if key not in cells or c[i] < c[cells[key]]:
                 cells[key] = i
-        assert sorted(cells.values()) == sorted(kept)
+        assert sorted(cells.values()) == kept.tolist()
 
 
 def test_self_occlude_rejects_overflowing_cell_indices():
     """A cell index past the float range would be inf and merge distinct cells."""
     pts = np.array([[0.0, 0.0, 0.0], [1e10, -1e10, 0.0], [2e10, -3e10, 0.5]])
     view = np.array([0.0, 0.0, 1.0])
-    np.testing.assert_array_equal(self_occlude(pts, view, 1e-290), pts)
+    np.testing.assert_array_equal(occlusion_rows(pts, view, 1e-290), [0, 1, 2])
     with pytest.raises(ValueError, match="cell indices are not finite"):
-        self_occlude(pts, view, 1e-300)
+        occlusion_rows(pts, view, 1e-300)
     with pytest.raises(ValueError, match="cell indices are not finite"):
         apply_transform(TransformSpec("occlusion", 1e-300), pts, np.random.default_rng(0))
 
 
 def test_self_occlude_depth_tie_breaks_to_lower_index():
     pts = np.array([[0.0, 0.0, 0.5], [0.05, 0.0, 0.5], [0.9, 0.0, 0.5]])
-    out = self_occlude(pts, np.array([0.0, 0.0, 1.0]), 0.2)
-    np.testing.assert_array_equal(out, pts[[0, 2]])
+    np.testing.assert_array_equal(occlusion_rows(pts, np.array([0.0, 0.0, 1.0]), 0.2), [0, 2])
 
 
 def test_self_occlude_validates_input():
     pts = np.zeros((3, 3))
     pts[:, 0] = np.arange(3.0)
     with pytest.raises(ValueError):
-        self_occlude(pts, np.array([0.0, 0.0, 1.0]), 0.0)
+        occlusion_rows(pts, np.array([0.0, 0.0, 1.0]), 0.0)
     with pytest.raises(ValueError):
-        self_occlude(pts, np.zeros(3), 0.1)
+        occlusion_rows(pts, np.zeros(3), 0.1)
 
 
 # ------------------------------------------------------------ TransformSpec

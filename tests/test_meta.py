@@ -29,7 +29,9 @@ from metacloud.meta import (
 from metacloud.network import (
     EVAL_POINTS,
     PARAM_KEYS,
+    adam_step,
     evaluate,
+    init_adam,
     init_params,
     loss_and_grad,
     sgd_step,
@@ -220,13 +222,13 @@ def test_meta_step_inner_update_descends():
 
 def test_meta_step_corrupts_batch_once_per_sampled_task(monkeypatch):
     calls = []
-    real = meta.apply_transform
+    real = meta.transform_rows
 
     def counting(spec, points, rng):
         calls.append(spec.kind)
         return real(spec, points, rng)
 
-    monkeypatch.setattr(meta, "apply_transform", counting)
+    monkeypatch.setattr(meta, "transform_rows", counting)
     ds = toy_dataset(14)
     clouds, labels = ds.points_and_labels()
     params = init_params(3, np.random.default_rng(15))
@@ -235,6 +237,74 @@ def test_meta_step_corrupts_batch_once_per_sampled_task(monkeypatch):
         task_rng=np.random.default_rng(16), transform_rng=np.random.default_rng(17),
     )
     assert len(calls) == 3 * len(clouds)
+
+
+def bilevel_grads_on_copies(params, batch_for, indices, eta):
+    """Summed post-adaptation gradients; batch_for(t) gives task t's copies and labels."""
+    total = None
+    for t in indices:
+        clouds_t, labels_t = batch_for(t)
+        _, grads_t = loss_and_grad(params, clouds_t, labels_t)
+        _, grads_a = loss_and_grad(sgd_step(params, grads_t, eta), clouds_t, labels_t)
+        total = grads_a if total is None else {k: total[k] + grads_a[k] for k in PARAM_KEYS}
+    return total
+
+
+def test_meta_step_equals_steps_on_apply_transform_copies():
+    """Drawing rows and cutting the clouds gives the bits of apply_transform copies."""
+    ds = toy_dataset(46, per_class=5, n_points=40)
+    clouds, labels = ds.points_and_labels()
+    ts = build_task_set("paper")
+    params = init_params(3, np.random.default_rng(47))
+    result = meta_train_step(
+        params, ts, clouds, labels, k=4, eta=0.05,
+        task_rng=np.random.default_rng(48), transform_rng=np.random.default_rng(49),
+    )
+    indices = sample_task_indices(ts.probabilities, 4, np.random.default_rng(48))
+    draws = np.random.default_rng(49)
+    want = bilevel_grads_on_copies(
+        params, lambda t: ([apply_transform(ts.transforms[t], c, draws) for c in clouds], labels),
+        indices, 0.05,
+    )
+    np.testing.assert_array_equal(result.task_indices, indices)
+    for key in PARAM_KEYS:
+        np.testing.assert_array_equal(result.grads[key], want[key])
+
+
+def test_static_epoch_equals_steps_on_apply_transform_copies():
+    """One static-transform epoch: the parameters of a loop over apply_transform copies.
+
+    The copies are drawn once per task and cloud from the "transform" stream
+    (task major, cloud minor), before any step; streams fork in the
+    documented order init, order, tasks, transform, validate.
+    """
+    train_set, val_set = toy_dataset(50), toy_dataset(51)
+    ts = build_task_set("paper")
+    config = quick_config(seed=52, tasks_per_step=3, max_epochs=1)
+    seen = []
+    result = train(config, train_set, val_set, ts, mode=MODE_STATIC,
+                   step_callback=lambda i, p: seen.append(p))
+
+    init, order, tasks, transform, _ = (
+        np.random.default_rng(c) for c in np.random.SeedSequence(52).spawn(5)
+    )
+    clouds, labels = train_set.points_and_labels()
+    copies = [[apply_transform(spec, c, transform) for c in clouds] for spec in ts.transforms]
+    params = init_params(3, init)
+    adam = init_adam(params)
+    perm = order.permutation(len(clouds))
+    for step, lo in enumerate(range(0, len(perm), config.batch_size)):
+        idx = perm[lo : lo + config.batch_size]
+        indices = sample_task_indices(ts.probabilities, config.tasks_per_step, tasks)
+        grads = bilevel_grads_on_copies(
+            params, lambda t: ([copies[t][i] for i in idx], labels[idx]), indices, config.eta
+        )
+        adam, params = adam_step(adam, params, grads, config.beta)
+        for key in PARAM_KEYS:
+            np.testing.assert_array_equal(seen[step][key], params[key])
+    assert len(seen) == step + 1
+    for key in PARAM_KEYS:
+        np.testing.assert_array_equal(result.params[key], params[key])
 
 
 def test_meta_validate_identity_equals_plain_evaluate():
@@ -324,6 +394,10 @@ def test_train_config_validation():
         quick_config(epsilon=0.0)
     with pytest.raises(ValueError):
         quick_config(max_epochs=0)
+    for key in ("eta", "beta", "epsilon"):
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=f"^{key} must be finite"):
+                quick_config(**{key: value})
     quick_config(eta=0.0)  # zero inner step is allowed
 
 
@@ -464,7 +538,7 @@ def test_train_stops_at_first_non_finite_loss(mode):
 def test_train_gradients_per_outer_step(monkeypatch, mode, eta, per_step):
     """k = 3 tasks take 2k gradients with the inner step on and k at eta 0."""
     counts = {"grads": 0, "transforms": 0}
-    real_grad, real_transform = meta.network.loss_and_grad, meta.apply_transform
+    real_grad, real_transform = meta.network.loss_and_grad, meta.transform_rows
 
     def counting_grad(params, clouds, labels):
         counts["grads"] += 1
@@ -475,7 +549,7 @@ def test_train_gradients_per_outer_step(monkeypatch, mode, eta, per_step):
         return real_transform(spec, points, rng)
 
     monkeypatch.setattr(meta.network, "loss_and_grad", counting_grad)
-    monkeypatch.setattr(meta, "apply_transform", counting_transform)
+    monkeypatch.setattr(meta, "transform_rows", counting_transform)
     seen = []
     train(
         quick_config(tasks_per_step=3, eta=eta, max_epochs=1),

@@ -475,6 +475,11 @@ def test_checkpoint_rejects_corruption(tmp_path):
             arrays=[[name, [128, 2] if name == "adam_v/w5" else shape] for name, shape in header["arrays"]],
         ),
         "four_class_names": dict(header, class_names=["a", "b", "c", "d"]),
+        "class_names_string": dict(header, class_names="abc"),
+        "class_names_numbers": dict(header, class_names=[1, 2, 3]),
+        "adam_step_string": dict(header, adam=dict(header["adam"], step="x")),
+        "adam_step_negative": dict(header, adam=dict(header["adam"], step=-1)),
+        "adam_step_float": dict(header, adam=dict(header["adam"], step=1.5)),
     }
     files = {"header_cut": b"MCC\x01\x05", "json_cut": blob[:20]}
     for name, bad in bad_headers.items():
