@@ -6,13 +6,9 @@ coordinate-wise max pooling over the points of each cloud, then a head
 max pool routes each feature's gradient to the lowest-index point attaining
 the maximum. No normalization layers, no dropout, no input alignment.
 
-Clouds go through the network packed into one (total, 3) block. When every
-cloud of a pack has the same size n, the pool works on the (clouds, n,
-features) reshape of the last layer; a pack of mixed sizes takes `max` over
-each cloud's rows in turn, about seven times faster than `np.maximum.reduceat`
-on 20 clouds of 96 points. Both give the same bits: a maximum does not depend
-on the order it is taken in. Bias adds, ReLUs and ReLU masks run in place on
-the matmul results, with the same arithmetic as fresh arrays would get.
+Clouds go through the network packed into one (total, 3) block. Bias adds,
+ReLUs and ReLU masks run in place on the matmul results, with the same
+arithmetic as fresh arrays would get.
 
 Each row of a per-point layer gets the same bits in any pack (seen with
 OpenBLAS): a product of two or more rows computes every row alike, and a
@@ -20,21 +16,28 @@ lone point goes through as two rows, since numpy would send one row down
 the matrix-vector path. The head's rows do depend on the pack: with fewer
 than four classes the last rows of its last product round differently.
 
-The backward is sparse below the pool. Only a point that wins a feature
-whose maximum is positive gets any gradient (the "critical" points of
-PointNet, Qi et al. 2017): a feature that is zero at every point is a closed
-ReLU. The winners come from `argmax` on the reshape or on each segment, are
-gathered once with `np.unique`, and layers 3, 2 and 1 run their backward on
-those rows alone. Their sums then cover fewer rows in another order than a
-dense backward would, so the gradients agree with it to rounding, not bit
-for bit; the same inputs still give the same bits.
+Training (loss_and_grad) keeps all three per-point layers for its
+backward. A pack whose clouds share one size n pools the (clouds, n,
+features) reshape of the last layer, a pack of mixed sizes cloud by cloud;
+a maximum has the same bits in any order it is taken. The backward is
+sparse below the pool. Only a point that wins a feature whose maximum is
+positive gets any gradient (the "critical" points of PointNet, Qi et al.
+2017): a feature that is zero at every point is a closed ReLU. The winners
+come from `argmax` beside the pool, are gathered once with `np.unique`, and
+layers 3, 2 and 1 run their backward on those rows alone. Their sums then
+cover fewer rows in another order than a dense backward would, so the
+gradients agree with it to rounding, not bit for bit; the same inputs still
+give the same bits.
 
-The forward for evaluation packs whole clouds until the next one would pass
-EVAL_POINTS rows, which bounds the memory of one pass by points rather than
-by clouds; a cloud larger than the bound goes through alone. Scoring many
-row subsets of the same clouds (evaluate_tasks, the per-task validation)
-runs the per-point layers once over the clean clouds and pools each subset
-from their rows, with the bits evaluate would give each subset.
+Inference has one path, the scorer of row subsets behind evaluate_tasks
+(the per-task validation). It runs the per-point layers once over the
+clean clouds, in packs of whole clouds up to EVAL_POINTS // 2 rows, keeps
+only the last layer, and pools each subset from its cloud's rows. Plain
+logits (logits_batch, forward, evaluate, loss_batch) are its one-task case,
+where each subset is a whole cloud and pools with no gather. The head runs
+in packs of whole clouds up to EVAL_POINTS rows of the subsets, so one
+pass's memory is bounded by points rather than by clouds; a cloud larger
+than the bound goes through alone.
 """
 
 import json
@@ -136,18 +139,6 @@ def _head(params, pooled):
     return h4, logits
 
 
-def _forward_packed(params, pts, starts, width):
-    """Run the network on packed points; returns activations for backprop."""
-    h1 = _point_layer(pts, params["w1"], params["b1"])
-    h2 = _point_layer(h1, params["w2"], params["b2"])
-    h3 = _point_layer(h2, params["w3"], params["b3"])
-    if width is None:
-        pooled = np.stack([seg.max(axis=0) for seg in np.split(h3, starts[1:])])
-    else:
-        pooled = h3.reshape(len(starts), width, -1).max(axis=1)
-    return (h1, h2, h3, pooled) + _head(params, pooled)
-
-
 def _eval_packs(sizes, bound=EVAL_POINTS):
     """(lo, hi) ranges of whole clouds, each within bound rows or one cloud."""
     lo, rows = 0, 0
@@ -162,13 +153,12 @@ def _eval_packs(sizes, bound=EVAL_POINTS):
 def logits_batch(params, clouds):
     """Logits for a sequence of clouds, shape (len(clouds), C)."""
     clouds = list(clouds)
-    packs = _eval_packs([len(pts) for pts in clouds])
-    return np.concatenate([_forward_packed(params, *_pack(clouds[lo:hi]))[-1] for lo, hi in packs])
+    return _task_logits(params, clouds, [[range(len(pts)) for pts in clouds]])[0]
 
 
 def forward(params, points):
     """Logits for a single cloud, shape (C,)."""
-    return _forward_packed(params, *_pack([np.asarray(points, dtype=np.float64)]))[-1][0]
+    return logits_batch(params, [np.asarray(points, dtype=np.float64)])[0]
 
 
 def cross_entropy(logits, labels):
@@ -188,6 +178,23 @@ def loss_batch(params, clouds, labels):
     return float(cross_entropy(logits, labels)[0])
 
 
+def _pool(h3, starts, width):
+    """(pooled, winners): each cloud's max pool of packed features, and the lowest row attaining it.
+
+    A mixed pack pools cloud by cloud, about seven times faster than
+    np.maximum.reduceat on 20 clouds of 96 points. The argmax runs on where
+    h3 equals its maximum: on floats it would first copy all of h3.
+    """
+    if width is not None:
+        cube = h3.reshape(len(starts), width, -1)
+        pooled = cube.max(axis=1)
+        return pooled, starts[:, None] + (cube == pooled[:, None]).argmax(axis=1)
+    segments = np.split(h3, starts[1:])
+    pooled = np.stack([seg.max(axis=0) for seg in segments])
+    tops = zip(starts, segments, pooled)
+    return pooled, np.stack([lo + (seg == top).argmax(axis=0) for lo, seg, top in tops])
+
+
 def loss_and_grad(params, clouds, labels):
     """Mean cross entropy plus its exact gradient for every parameter.
 
@@ -196,7 +203,10 @@ def loss_and_grad(params, clouds, labels):
     """
     labels = np.asarray(labels)
     pts, starts, width = _pack(list(clouds))
-    h1, h2, h3, pooled, h4, logits = _forward_packed(params, pts, starts, width)
+    h1 = _point_layer(pts, params["w1"], params["b1"])
+    h2 = _point_layer(h1, params["w2"], params["b2"])
+    pooled, winners = _pool(_point_layer(h2, params["w3"], params["b3"]), starts, width)
+    h4, logits = _head(params, pooled)
     loss, softmax = cross_entropy(logits, labels)
     batch = len(labels)
 
@@ -213,24 +223,10 @@ def loss_and_grad(params, clouds, labels):
     grads["b4"] = d_z4.sum(axis=0)
     d_pooled = d_z4 @ params["w4"].T
 
-    # Max pool: each feature's gradient goes to the first point attaining
-    # the cloud's maximum (argmax takes the lowest index on ties), and only
-    # where that maximum is positive, since a winner's h3 equals pooled and
-    # a zero there is a closed ReLU. No other point gets any gradient, so
-    # layers 3, 2 and 1 run their backward on the winner rows alone, and h3
-    # is released once the winners are known.
-    # The argmax runs on where h3 equals its maximum: on floats it would
-    # first copy all of h3 to make the point axis contiguous.
-    if width is None:
-        winners = np.stack(
-            [
-                lo + (seg == top).argmax(axis=0)
-                for lo, seg, top in zip(starts, np.split(h3, starts[1:]), pooled)
-            ]
-        )
-    else:
-        winners = starts[:, None] + (h3.reshape(batch, width, -1) == pooled[:, None]).argmax(axis=1)
-    del h3
+    # Max pool: each feature's gradient goes to its winner, and only where
+    # the maximum is positive, since a winner's h3 equals pooled and a zero
+    # there is a closed ReLU. No other point gets any gradient, so layers 3,
+    # 2 and 1 run their backward on the winner rows alone.
     live = pooled > 0.0
     critical, slot = np.unique(winners[live], return_inverse=True)
     d_z3 = np.zeros((len(critical), pooled.shape[1]))
@@ -270,21 +266,23 @@ def _pool_subsets(params, clouds, task_rows, out):
     segments = np.split(_point_features(params, pts), starts[1:])
     for task_out, rows in zip(out, task_rows):
         for pooled, seg, kept in zip(task_out, segments, rows):
-            seg[kept].max(axis=0, out=pooled)
+            # Rows are strictly increasing, so as many rows as the cloud has are all of it.
+            (seg if len(kept) == len(seg) else seg[kept]).max(axis=0, out=pooled)
 
 
 def _task_logits(params, clouds, task_rows):
     """Logits of every task's row subsets of the clouds, one (clouds, C) array per task.
 
-    Array t equals logits_batch(params, [c[r] for c, r in zip(clouds,
-    task_rows[t])]) bit for bit, but the per-point layers run once, on the
-    clean clouds: a point's features do not depend on the other points, so
-    a subset's features are rows of the clean features, and its max pool is
-    the maximum over those rows. The clean packs take EVAL_POINTS // 2 rows
-    at most, because every task's pooled rows are held beside one pack's
+    Array t holds the logits of the clouds [c[r] for c, r in zip(clouds,
+    task_rows[t])], but the per-point layers run once, on the clean clouds:
+    a point's features do not depend on the other points, so a subset's
+    features are rows of the clean features, and its max pool is the
+    maximum over those rows. The clean packs take EVAL_POINTS // 2 rows at
+    most, because every task's pooled rows are held beside one pack's
     features. The head then runs on each task's pooled rows in the packs
-    logits_batch would form from the subsets: with few classes the rounding
-    of its last product depends on a row's place in the pack.
+    logits_batch forms from clouds of the subsets' sizes: with few classes
+    the rounding of its last product depends on a row's place in the pack,
+    so array t has the bits of logits_batch on the subset clouds.
     """
     pooled = np.empty((len(task_rows), len(clouds), POINT_SIZES[-1]))
     for lo, hi in _eval_packs([len(pts) for pts in clouds], EVAL_POINTS // 2):

@@ -106,11 +106,21 @@ def test_forward_invariant_to_point_duplication():
     )
 
 
-def test_forward_chunking_transparent(monkeypatch):
-    """Batches larger than the eval bound produce the same logits.
+def assert_maximal_packs(packs, sizes, bound):
+    """packs (lists of cloud sizes) cover sizes in order, each within bound rows or one cloud, each maximal."""
+    assert [n for pack in packs for n in pack] == list(sizes)
+    for pack, following in zip(packs, packs[1:] + [None]):
+        assert sum(pack) <= bound or len(pack) == 1
+        if following is not None:
+            assert sum(pack) + following[0] > bound
 
-    A pack takes whole clouds until the next one would pass EVAL_POINTS
-    rows; a larger cloud goes alone. Different packing widths reorder BLAS
+
+def test_forward_chunking_transparent(monkeypatch):
+    """Batches larger than the eval bounds produce the same logits.
+
+    The clean pass takes whole clouds until the next one would pass
+    EVAL_POINTS // 2 rows, the head until it would pass EVAL_POINTS; a
+    larger cloud goes alone. Different packing widths reorder BLAS
     accumulation, so cross-chunking equality is to rounding only; the same
     call is bit-repeatable.
     """
@@ -124,47 +134,71 @@ def test_forward_chunking_transparent(monkeypatch):
 
     mixed = [rng.standard_normal((int(n), 3)) for n in rng.integers(1, 1500, size=12)]
     mixed.insert(5, rng.standard_normal((EVAL_POINTS + 100, 3)))
-    packs = []
-    packed_forward = network._forward_packed
+    clean, heads = [], []
+    pack, head = network._pack, network._head
 
-    def record(params, pts, starts, width):
-        packs.append((len(pts), len(starts)))
-        return packed_forward(params, pts, starts, width)
+    def record_pack(clouds):
+        clean.append([len(pts) for pts in clouds])
+        return pack(clouds)
 
-    monkeypatch.setattr(network, "_forward_packed", record)
+    def record_head(params, pooled):
+        heads.append(len(pooled))
+        return head(params, pooled)
+
+    monkeypatch.setattr(network, "_pack", record_pack)
+    monkeypatch.setattr(network, "_head", record_head)
     got = logits_batch(params, mixed)
     want = np.stack([mini_logits(params, c) for c in mixed])
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-    assert sum(count for _, count in packs) == len(mixed)
-    assert max(count for _, count in packs) > 1
-    first = 0
-    for (rows, count), following in zip(packs, packs[1:] + [None]):
-        assert rows <= EVAL_POINTS or count == 1
-        if following is not None:
-            assert rows + len(mixed[first + count]) > EVAL_POINTS
-        first += count
+    sizes = [len(c) for c in mixed]
+    assert_maximal_packs(clean, sizes, EVAL_POINTS // 2)
+    ends = np.cumsum(heads)
+    assert_maximal_packs([sizes[end - n : end] for n, end in zip(heads, ends)], sizes, EVAL_POINTS)
+    assert max(len(p) for p in clean) > 1 and max(heads) > max(len(p) for p in clean)
 
 
-def test_ragged_pool_matches_per_cloud_reference():
-    """A pack of mixed sizes pools each cloud as the per-cloud oracle does, bit for bit.
+def test_ragged_pool_matches_per_cloud_reference(monkeypatch):
+    """Ragged and same-size packs pool each cloud as the per-cloud oracle does, bit for bit.
 
-    Covers ties (repeated rows), features that are zero over a whole cloud
-    and a two-point cloud. Every cloud has two or more points, so every
-    product has more than one row and each row gets the same bits packed or
-    alone.
+    Checked at both pools, training's (loss_and_grad) and inference's
+    (logits_batch), by what reaches the head. Covers ties (repeated rows),
+    features that are zero over a whole cloud and a two-point cloud. Every
+    cloud has two or more points, so every product has more than one row
+    and each row gets the same bits packed or alone. Training's winners are
+    the lowest rows attaining each maximum.
     """
     rng = np.random.default_rng(30)
     params = init_params(3, rng)
-    clouds = [rng.standard_normal((int(n), 3)) for n in rng.integers(2, 60, size=15)]
-    clouds.append(np.repeat(clouds[0][:3], 4, axis=0))
-    clouds.append(rng.standard_normal((2, 3)))
-    clouds.append(-np.abs(rng.standard_normal((9, 3))) * 50.0)
-    pts, starts, width = network._pack(clouds)
-    assert width is None
-    pooled = network._forward_packed(params, pts, starts, width)[3]
-    want = np.stack([point_features(params, c).max(axis=0) for c in clouds])
-    assert (want == 0.0).any()
-    np.testing.assert_array_equal(pooled, want)
+    ragged = [rng.standard_normal((int(n), 3)) for n in rng.integers(2, 60, size=15)]
+    ragged.append(np.repeat(ragged[0][:3], 4, axis=0))
+    ragged.append(rng.standard_normal((2, 3)))
+    ragged.append(-np.abs(rng.standard_normal((9, 3))) * 50.0)
+    same = [rng.standard_normal((12, 3)) for _ in range(5)]
+    same.append(np.repeat(same[0][:3], 4, axis=0))
+    same.append(-np.abs(rng.standard_normal((12, 3))) * 50.0)
+    pooled_seen = []
+    head = network._head
+
+    def record_head(params, pooled):
+        pooled_seen.append(pooled.copy())
+        return head(params, pooled)
+
+    monkeypatch.setattr(network, "_head", record_head)
+    for clouds, same_size in ((ragged, False), (same, True)):
+        pts, starts, width = network._pack(clouds)
+        assert (width is not None) == same_size
+        feats = [point_features(params, c) for c in clouds]
+        want = np.stack([f.max(axis=0) for f in feats])
+        assert (want == 0.0).any()
+        pooled_seen.clear()
+        loss_and_grad(params, clouds, np.zeros(len(clouds), dtype=int))
+        logits_batch(params, clouds)
+        assert len(pooled_seen) == 2
+        for pooled in pooled_seen:
+            np.testing.assert_array_equal(pooled, want)
+        _, winners = network._pool(network._point_features(params, pts), starts, width)
+        for lo, f, won in zip(starts, feats, winners):
+            np.testing.assert_array_equal(won - lo, (f == f.max(axis=0)).argmax(axis=0))
 
 
 def test_evaluate_tasks_equals_evaluate_on_subsets():
