@@ -44,6 +44,7 @@ KIND_FLAGS = {KIND_DENSITY: "g", KIND_DROPPING: "x", KIND_OCCLUSION: "w"}
 # plus the two strings that pick the mode and the task set.
 TRAIN_CONFIG_TYPES = {field.name: field.type for field in dataclasses.fields(meta.TrainConfig)}
 CONFIG_TYPES = dict(TRAIN_CONFIG_TYPES, mode=str, task_params=str)
+CONFIG_CHOICES = {"mode": meta.MODES, "task_params": meta.TASK_MODES}
 
 
 class ConfigError(ValueError):
@@ -67,10 +68,8 @@ def read_config(path):
             values[key] = CONFIG_TYPES[key](value)
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from None
-    if "mode" in values and values["mode"] not in meta.MODES:
-        raise ConfigError(f"{path}: unknown mode {values['mode']!r}")
-    if "task_params" in values and values["task_params"] not in meta.TASK_MODES:
-        raise ConfigError(f"{path}: unknown task_params {values['task_params']!r}")
+        if key in CONFIG_CHOICES and value not in CONFIG_CHOICES[key]:
+            raise ConfigError(f"{path}:{lineno}: unknown {key} {value!r}")
     return values
 
 

@@ -378,6 +378,8 @@ def load_dataset(path):
         for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
             if not line.strip():
                 continue
+            if "\0" in line:
+                raise DatasetFormatError(f"{path}:{lineno}: manifest row holds a NUL byte")
             fields = line.split()
             if len(fields) != 2:
                 raise DatasetFormatError(f"{path}:{lineno}: manifest rows are 'path name'")

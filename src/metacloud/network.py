@@ -312,8 +312,12 @@ def evaluate_tasks(params, clouds, task_rows, labels):
 
 
 def sgd_step(params, grads, lr):
-    """One plain gradient step; returns a new parameter dict."""
-    return {key: params[key] - lr * grads[key] for key in params}
+    """One plain gradient step; returns a new parameter dict, writing no input array."""
+    out = {}
+    for key in params:
+        out[key] = np.multiply(grads[key], lr)
+        np.subtract(params[key], out[key], out=out[key])
+    return out
 
 
 @dataclass
@@ -336,16 +340,33 @@ def init_adam(params):
 
 
 def adam_step(state, params, grads, lr):
-    """One bias-corrected Adam step; returns (new_state, new_params)."""
+    """One bias-corrected Adam step; returns (new_state, new_params).
+
+    Each result array is filled in place, with one scratch array per
+    parameter, in the order of operations of the textbook expressions
+    m = b1 * m + (1 - b1) * g, v = b2 * v + (1 - b2) * g ** 2 and
+    p - lr * m_hat / (sqrt(v_hat) + eps), so it gets their bits. No input
+    array is written.
+    """
     t = state.step + 1
     b1, b2 = state.beta1, state.beta2
     m, v, out = {}, {}, {}
     for key in params:
-        m[key] = b1 * state.m[key] + (1.0 - b1) * grads[key]
-        v[key] = b2 * state.v[key] + (1.0 - b2) * grads[key] ** 2
-        m_hat = m[key] / (1.0 - b1**t)
-        v_hat = v[key] / (1.0 - b2**t)
-        out[key] = params[key] - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        g = grads[key]
+        scratch = np.multiply(g, 1.0 - b1)
+        m[key] = np.multiply(state.m[key], b1)
+        m[key] += scratch
+        np.square(g, out=scratch)
+        scratch *= 1.0 - b2
+        v[key] = np.multiply(state.v[key], b2)
+        v[key] += scratch
+        np.divide(m[key], 1.0 - b1**t, out=scratch)
+        scratch *= lr
+        out[key] = np.divide(v[key], 1.0 - b2**t)
+        np.sqrt(out[key], out=out[key])
+        out[key] += state.eps
+        np.divide(scratch, out[key], out=out[key])
+        np.subtract(params[key], out[key], out=out[key])
     new_state = AdamState(m=m, v=v, step=t, beta1=b1, beta2=b2, eps=state.eps)
     return new_state, out
 
@@ -408,7 +429,7 @@ def load_checkpoint(path):
             class_names = header["class_names"]
             if type(class_names) is not list or not all(type(n) is str for n in class_names):
                 raise ValueError(f"class names must be a list of strings, got {class_names!r}")
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ValueError(f"{path}: bad checkpoint header ({exc!r})") from None
         groups = {"param": {}, "adam_m": {}, "adam_v": {}}
         if list(shapes) != [f"{group}/{key}" for group in groups for key in PARAM_KEYS]:

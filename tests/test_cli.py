@@ -244,13 +244,13 @@ def test_read_config_errors_carry_line_numbers(tmp_path):
         read_config(bad_shape)
 
     bad_mode = tmp_path / "d.cfg"
-    bad_mode.write_text("mode = turbo\n")
-    with pytest.raises(ConfigError, match="unknown mode"):
+    bad_mode.write_text("seed = 3\nmode = turbo\n")
+    with pytest.raises(ConfigError, match=r"d\.cfg:2: unknown mode 'turbo'"):
         read_config(bad_mode)
 
     bad_tasks = tmp_path / "e.cfg"
     bad_tasks.write_text("task_params = fancy\n")
-    with pytest.raises(ConfigError, match="unknown task_params"):
+    with pytest.raises(ConfigError, match=r"e\.cfg:1: unknown task_params 'fancy'"):
         read_config(bad_tasks)
 
     not_utf8 = tmp_path / "f.cfg"
@@ -387,6 +387,17 @@ def test_eval_rejects_checkpoint_of_wrong_shape(bench_dir, tmp_path, capsys):
     network.save_checkpoint(path, params, network.init_adam(params), ["cone", "cube", "cylinder"])
     assert run_cli(["eval", "--checkpoint", str(path), "--manifest", str(bench_dir)]) == 4
     assert f"error: {path}: array param/w1 has shape [64, 3]" in capsys.readouterr().err
+
+
+def test_eval_rejects_manifest_row_with_nul_byte(trained_dir, bench_dir, tmp_path, capsys):
+    """A manifest row holding a NUL byte exits 3 naming manifest:line."""
+    rows = (bench_dir / "manifest.txt").read_text().splitlines()
+    rows[2] = rows[2].replace(".txt", "\0.txt")
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("\n".join(f"{bench_dir}/{row}" for row in rows) + "\n")
+    assert run_cli(["eval", "--checkpoint", str(trained_dir / "model.ckpt"),
+                    "--manifest", str(manifest)]) == 3
+    assert f"error: {manifest}:3: manifest row holds a NUL byte" in capsys.readouterr().err
 
 
 # -------------------------------------------------------------- entry points

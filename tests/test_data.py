@@ -407,3 +407,14 @@ def test_load_dataset_errors(tmp_path):
     bare.mkdir()
     with pytest.raises(DatasetFormatError):
         load_dataset(bare)
+
+
+def test_manifest_row_with_nul_byte_names_the_line(tmp_path):
+    """A NUL byte in a manifest row is a format error at manifest:line, not an OS error."""
+    ds = generate_synthetic_dataset(default_families(points=64)[:2], per_class=1, seed=24)
+    manifest = save_dataset(ds, tmp_path / "bench")
+    rows = manifest.read_text().splitlines()
+    for row in (rows[1].replace("/", "/\0", 1), rows[1] + "\0"):
+        manifest.write_text("\n".join([rows[0], row]) + "\n")
+        with pytest.raises(DatasetFormatError, match=r"manifest\.txt:2: manifest row holds a NUL byte"):
+            load_dataset(manifest)

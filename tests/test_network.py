@@ -420,6 +420,38 @@ def test_adam_two_steps_match_reference():
     np.testing.assert_allclose(params["w"], [x], rtol=1e-15)
 
 
+def test_optimizer_steps_match_textbook_bits_and_keep_inputs():
+    """Several Adam and SGD steps on full-size parameters.
+
+    Each step equals the textbook expressions bit for bit, and writes
+    none of state.m, state.v, params or grads: callers keep those arrays.
+    """
+    rng = np.random.default_rng(18)
+    params = init_params(5, rng)
+    state = init_adam(params)
+    b1, b2, eps, lr = state.beta1, state.beta2, state.eps, 1e-3
+    for t in range(1, 5):
+        grads = {k: rng.standard_normal(v.shape) * 10.0 ** rng.integers(-6, 2) for k, v in params.items()}
+        inputs = (state.m, state.v, params, grads)
+        before = [{k: v.copy() for k, v in group.items()} for group in inputs]
+        new_state, new_params = adam_step(state, params, grads, lr)
+        stepped = sgd_step(params, grads, lr)
+        for group, kept in zip(inputs, before):
+            for key in PARAM_KEYS:
+                np.testing.assert_array_equal(group[key], kept[key])
+        assert new_state.step == t
+        for key in PARAM_KEYS:
+            g = grads[key]
+            m = b1 * state.m[key] + (1.0 - b1) * g
+            v = b2 * state.v[key] + (1.0 - b2) * g**2
+            want = params[key] - lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+            assert new_state.m[key].tobytes() == m.tobytes(), key
+            assert new_state.v[key].tobytes() == v.tobytes(), key
+            assert new_params[key].tobytes() == want.tobytes(), key
+            assert stepped[key].tobytes() == (params[key] - lr * g).tobytes(), key
+        state, params = new_state, new_params
+
+
 def test_adam_first_step_is_signed_lr():
     """With zero state, step one moves each weight by ~lr * sign(grad)."""
     params, clouds, labels = tiny_batch(16)
