@@ -24,11 +24,9 @@ from pathlib import Path
 SIDES = ("parent", "change")
 
 
-def bench_once(tree, trace, seconds):
+def bench_once(tree, trace):
     """The summary line of one bench/run.py run in tree, and its exit code."""
     argv = [sys.executable, "bench/run.py", "--trace", str(trace)]
-    if seconds is not None:
-        argv += ["--seconds", repr(seconds)]
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
@@ -72,7 +70,6 @@ def main(argv=None):
     parser.add_argument("--change", required=True, help="root of the changed tree")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--seconds", type=float, help="bench/run.py --seconds; its default if not given")
     parser.add_argument("--out", required=True, help="JSON file to write")
     parser.add_argument("--note", default="", help="text kept as the output's 'what' entry")
     args = parser.parse_args(argv)
@@ -88,15 +85,14 @@ def main(argv=None):
         order = SIDES if pair % 2 == 0 else SIDES[::-1]
         run = {"pair": pair + 1, "first": order[0]}
         for side in order:
-            summary, code = bench_once(trees[side], args.trace, args.seconds)
+            summary, code = bench_once(trees[side], args.trace)
             run[side] = dict(summary, exit=code)
             print(f"pair {pair + 1}/{args.pairs} {side}: exit {code}, "
                   f"{summary['failed']} of {summary['attempted']} checks failed", flush=True)
         runs.append(run)
         report = {
             "what": args.note,
-            "command": f"python3 bench/run.py --trace {args.trace}"
-            + (f" --seconds {args.seconds!r}" if args.seconds is not None else ""),
+            "command": f"python3 bench/run.py --trace {args.trace}",
             "pairs": len(runs),
             "failed_runs": {side: sum(r[side]["exit"] != 0 for r in runs) for side in SIDES},
             "metrics": summarise(runs),

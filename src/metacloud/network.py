@@ -35,9 +35,11 @@ clean clouds, in packs of whole clouds up to EVAL_POINTS // 2 rows, keeps
 only the last layer, and pools each subset from its cloud's rows. Plain
 logits (logits_batch, forward, evaluate, loss_batch) are its one-task case,
 where each subset is a whole cloud and pools with no gather. The head runs
-in packs of whole clouds up to EVAL_POINTS rows of the subsets, so one
-pass's memory is bounded by points rather than by clouds; a cloud larger
-than the bound goes through alone.
+in packs of whole clouds up to EVAL_POINTS rows of the subsets; a cloud
+larger than a bound goes through alone. The per-point features live one
+clean pack at a time, so their memory is bounded by points, but the pooled
+features of every cloud and task (256 floats each) are held until the head
+runs.
 """
 
 import json
@@ -298,7 +300,8 @@ def _task_logits(params, clouds, task_rows):
 def evaluate_tasks(params, clouds, task_rows, labels):
     """Mean cross entropy and accuracy of each task's row subsets of the clouds.
 
-    task_rows[t][i] holds the sorted rows of clouds[i] that task t keeps.
+    task_rows[t][i] holds the strictly increasing rows of clouds[i] that
+    task t keeps; a list as long as the cloud is taken as the whole cloud.
     Entry t of the result equals evaluate(params, [c[r] for c, r in
     zip(clouds, task_rows[t])], labels) bit for bit; the per-point layers
     run once over the clean clouds for all tasks.
@@ -312,12 +315,8 @@ def evaluate_tasks(params, clouds, task_rows, labels):
 
 
 def sgd_step(params, grads, lr):
-    """One plain gradient step; returns a new parameter dict, writing no input array."""
-    out = {}
-    for key in params:
-        out[key] = np.multiply(grads[key], lr)
-        np.subtract(params[key], out[key], out=out[key])
-    return out
+    """One plain gradient step; returns a new parameter dict."""
+    return {key: params[key] - lr * grads[key] for key in params}
 
 
 @dataclass
@@ -340,33 +339,16 @@ def init_adam(params):
 
 
 def adam_step(state, params, grads, lr):
-    """One bias-corrected Adam step; returns (new_state, new_params).
-
-    Each result array is filled in place, with one scratch array per
-    parameter, in the order of operations of the textbook expressions
-    m = b1 * m + (1 - b1) * g, v = b2 * v + (1 - b2) * g ** 2 and
-    p - lr * m_hat / (sqrt(v_hat) + eps), so it gets their bits. No input
-    array is written.
-    """
+    """One bias-corrected Adam step; returns (new_state, new_params)."""
     t = state.step + 1
     b1, b2 = state.beta1, state.beta2
     m, v, out = {}, {}, {}
     for key in params:
-        g = grads[key]
-        scratch = np.multiply(g, 1.0 - b1)
-        m[key] = np.multiply(state.m[key], b1)
-        m[key] += scratch
-        np.square(g, out=scratch)
-        scratch *= 1.0 - b2
-        v[key] = np.multiply(state.v[key], b2)
-        v[key] += scratch
-        np.divide(m[key], 1.0 - b1**t, out=scratch)
-        scratch *= lr
-        out[key] = np.divide(v[key], 1.0 - b2**t)
-        np.sqrt(out[key], out=out[key])
-        out[key] += state.eps
-        np.divide(scratch, out[key], out=out[key])
-        np.subtract(params[key], out[key], out=out[key])
+        m[key] = b1 * state.m[key] + (1.0 - b1) * grads[key]
+        v[key] = b2 * state.v[key] + (1.0 - b2) * grads[key] ** 2
+        m_hat = m[key] / (1.0 - b1**t)
+        v_hat = v[key] / (1.0 - b2**t)
+        out[key] = params[key] - lr * m_hat / (np.sqrt(v_hat) + state.eps)
     new_state = AdamState(m=m, v=v, step=t, beta1=b1, beta2=b2, eps=state.eps)
     return new_state, out
 
