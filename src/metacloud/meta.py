@@ -9,11 +9,16 @@ the sampling probabilities become the softmax of those losses, so harder
 tasks are sampled more. The ablation baselines are the same loop with parts
 switched off (see train); with inner rate 0 a task takes one gradient.
 
+Every task batch is a row table, the rows each task keeps of each cloud; a
+step cuts its corrupted clouds from the clean ones, and the static-transform
+caches hold rows, never corrupted copies.
+
 Randomness: each run forks one seed into named substreams, in this fixed
 order: "init" (parameters), "order" (batch shuffling), "tasks" (task index
-draws), "transform" (dynamic transform draws; static mode consumes it once
-during precompute), "validate" (validation-time transform draws). The order
-is part of the reproducibility contract; new streams must be appended.
+draws), "transform" (dynamic transform draws; static mode draws all its rows
+up front, training before validation), "validate" (validation-time transform
+draws). The order is part of the reproducibility contract; new streams must
+be appended.
 """
 
 import json
@@ -61,22 +66,18 @@ _STREAM_NAMES = ("init", "order", "tasks", "transform", "validate")
 
 @dataclass
 class TaskSet:
-    """The N corruption tasks plus their sampling probabilities."""
+    """The N corruption tasks; sampling starts from uniform weights over them."""
 
     transforms: list
-    probabilities: np.ndarray
 
     def __post_init__(self):
-        self.probabilities = np.asarray(self.probabilities, dtype=np.float64)
-        n = len(self.transforms)
-        if n < 1:
+        if not self.transforms:
             raise ValueError("task set needs at least one transform")
-        if self.probabilities.shape != (n,):
-            raise ValueError("need one probability per task")
-        if not (self.probabilities > 0.0).all():
-            raise ValueError("task probabilities must be positive")
-        if abs(self.probabilities.sum() - 1.0) > 1e-9:
-            raise ValueError("task probabilities must sum to 1")
+
+    @property
+    def probabilities(self):
+        """The uniform starting weights, a new array on every read."""
+        return np.full(len(self.transforms), 1.0 / len(self.transforms))
 
 
 def build_task_set(mode=TASK_MODE_FIXED, rng=None, ranges=None):
@@ -105,8 +106,7 @@ def build_task_set(mode=TASK_MODE_FIXED, rng=None, ranges=None):
                 transforms.append(TransformSpec(kind, float(rng.uniform(a, b))))
     else:
         raise ValueError(f"unknown task mode {mode!r}")
-    n = len(transforms)
-    return TaskSet(transforms=transforms, probabilities=np.full(n, 1.0 / n))
+    return TaskSet(transforms)
 
 
 def sample_task_indices(probabilities, k, rng):
@@ -141,27 +141,23 @@ class MetaStepResult:
     adapted_losses: np.ndarray
 
 
-def _task_rows(spec, clouds, rng):
-    """Rows one task keeps of each cloud, drawn from rng in cloud order."""
-    return [transform_rows(spec, c, rng) for c in clouds]
+def _draw_rows(task_set, tasks, clouds, rng):
+    """Rows each task keeps of each cloud, drawn task major, cloud minor; task None gets None."""
+    return [
+        None if t is None else [transform_rows(task_set.transforms[t], c, rng) for c in clouds]
+        for t in tasks
+    ]
 
 
-def _task_batch(task_set, clouds, t, rng):
-    """Task t's corrupted copies of clouds, from freshly drawn rows; t None is the raw batch."""
-    if t is None:
-        return clouds
-    return [c[r] for c, r in zip(clouds, _task_rows(task_set.transforms[t], clouds, rng))]
-
-
-def _meta_step(params, labels, indices, eta, task_batch):
-    """Shared bilevel step; task_batch(t) yields the batch corrupted by task t.
+def _meta_step(params, clouds, labels, indices, task_rows, eta):
+    """Shared bilevel step: each task trains on the clouds cut to its rows (None: the raw batch).
 
     With eta 0 the adapted parameters equal params, so no second gradient is taken.
     """
     total = None
     task_losses, adapted_losses = [], []
-    for t in indices:
-        clouds_t = task_batch(t)
+    for rows in task_rows:
+        clouds_t = clouds if rows is None else [c[r] for c, r in zip(clouds, rows)]
         loss_t, grads_t = network.loss_and_grad(params, clouds_t, labels)
         loss_a, grads_a = loss_t, grads_t
         if eta != 0.0:
@@ -192,9 +188,8 @@ def meta_train_step(params, task_set, clouds, labels, k, eta, task_rng, transfor
     Duplicate task draws simply contribute twice.
     """
     indices = sample_task_indices(task_set.probabilities, k, task_rng)
-    return _meta_step(
-        params, labels, indices, eta, lambda t: _task_batch(task_set, clouds, t, transform_rng)
-    )
+    task_rows = _draw_rows(task_set, indices, clouds, transform_rng)
+    return _meta_step(params, clouds, labels, indices, task_rows, eta)
 
 
 def meta_validate(params, task_set, clouds, labels, rng):
@@ -205,25 +200,8 @@ def meta_validate(params, task_set, clouds, labels, rng):
     the network scores every task from one pass over the clean clouds.
     Returns (losses, accuracies), one entry per task.
     """
-    task_rows = [_task_rows(spec, clouds, rng) for spec in task_set.transforms]
+    task_rows = _draw_rows(task_set, range(len(task_set.transforms)), clouds, rng)
     return network.evaluate_tasks(params, clouds, task_rows, labels)
-
-
-def _task_source(cached, task_set, train_clouds, val_clouds, val_labels, streams):
-    """(task_batch(idx, t), validate(params)) for train: fresh draws, or drawn once up front."""
-    rng = streams["transform"]
-    if cached:
-        tasks = range(len(task_set.transforms))
-        train_cache = [_task_batch(task_set, train_clouds, t, rng) for t in tasks]
-        val_rows = [_task_rows(spec, val_clouds, rng) for spec in task_set.transforms]
-        return (
-            lambda idx, t: [train_cache[t][i] for i in idx],
-            lambda p: network.evaluate_tasks(p, val_clouds, val_rows, val_labels),
-        )
-    return (
-        lambda idx, t: _task_batch(task_set, [train_clouds[i] for i in idx], t, rng),
-        lambda p: meta_validate(p, task_set, val_clouds, val_labels, streams["validate"]),
-    )
 
 
 def _check_losses(result, epoch, step):
@@ -310,9 +288,9 @@ def train(config, train_set, val_set, task_set, mode=MODE_METASETS, step_callbac
     All modes share one loop; the mode is read once, before it, as four
     settings: the tasks a step draws (k by weight, one uniform task, or the
     raw batch), soft or frozen weights, the inner rate (0 turns the inner
-    step off) and fresh or cached task batches. Fresh task batches and
-    validation sets take new dynamic draws each time; cached ones are drawn
-    once per cloud up front and reused every epoch.
+    step off) and fresh or cached task rows. Fresh rows are drawn anew for
+    every batch and validation; cached ones are drawn once per task and
+    cloud up front, training before validation, and reused every epoch.
 
     Training stops early once every per-task validation loss falls below
     config.epsilon. step_callback(step_index, params), when given, runs
@@ -335,13 +313,14 @@ def train(config, train_set, val_set, task_set, mode=MODE_METASETS, step_callbac
     streams = _streams(config.seed)
     params = network.init_params(class_count, streams["init"])
     adam = network.init_adam(params)
-    probabilities = np.asarray(task_set.probabilities, dtype=np.float64).copy()
+    probabilities = task_set.probabilities
     draw = {MODE_NONE: _draw_raw, MODE_AUGMENT: _draw_one_uniform}.get(mode, sample_task_indices)
     soft = mode in (MODE_METASETS, MODE_STATIC)
     eta = 0.0 if mode in (MODE_NONE, MODE_AUGMENT) else config.eta
-    task_batch, validate = _task_source(
-        mode == MODE_STATIC, task_set, train_clouds, val_clouds, val_labels, streams
-    )
+    train_cache = val_cache = None
+    if mode == MODE_STATIC:
+        train_cache = _draw_rows(task_set, range(n_tasks), train_clouds, streams["transform"])
+        val_cache = _draw_rows(task_set, range(n_tasks), val_clouds, streams["transform"])
 
     history = []
     converged = False
@@ -352,8 +331,12 @@ def train(config, train_set, val_set, task_set, mode=MODE_METASETS, step_callbac
         for step, lo in enumerate(range(0, len(order), config.batch_size), start=1):
             batch_idx = order[lo : lo + config.batch_size]
             indices = draw(probabilities, config.tasks_per_step, streams["tasks"])
-            labels = train_labels[batch_idx]
-            result = _meta_step(params, labels, indices, eta, lambda t: task_batch(batch_idx, t))
+            clouds = [train_clouds[i] for i in batch_idx]
+            if train_cache is None:
+                task_rows = _draw_rows(task_set, indices, clouds, streams["transform"])
+            else:
+                task_rows = [[train_cache[t][i] for i in batch_idx] for t in indices]
+            result = _meta_step(params, clouds, train_labels[batch_idx], indices, task_rows, eta)
             _check_losses(result, epoch, step)
             adam, params = network.adam_step(adam, params, result.grads, config.beta)
             step_index += 1
@@ -361,7 +344,11 @@ def train(config, train_set, val_set, task_set, mode=MODE_METASETS, step_callbac
             if step_callback is not None:
                 step_callback(step_index, params)
 
-        val_losses, val_accuracies = validate(params)
+        if val_cache is None:
+            scores = meta_validate(params, task_set, val_clouds, val_labels, streams["validate"])
+        else:
+            scores = network.evaluate_tasks(params, val_clouds, val_cache, val_labels)
+        val_losses, val_accuracies = scores
         if soft and n_tasks >= 2:
             probabilities = update_probabilities(val_losses)
         history.append(

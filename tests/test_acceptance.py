@@ -61,7 +61,7 @@ def _report(criterion, ok, detail):
 
 
 def identity_task_set():
-    return meta.TaskSet([TransformSpec("identity")], np.array([1.0]))
+    return meta.TaskSet([TransformSpec("identity")])
 
 
 def make_bench_data(seed, points, per_class, eval_per_class):

@@ -53,10 +53,7 @@ def toy_dataset(seed, per_class=4, n_points=16, n_classes=3):
 
 
 def identity_task_set(n=1):
-    return TaskSet(
-        transforms=[TransformSpec("identity") for _ in range(n)],
-        probabilities=np.full(n, 1.0 / n),
-    )
+    return TaskSet([TransformSpec("identity") for _ in range(n)])
 
 
 def quick_config(**overrides):
@@ -68,17 +65,15 @@ def quick_config(**overrides):
 # ------------------------------------------------------------------ task sets
 
 
-def test_task_set_validates_probabilities():
-    t = [TransformSpec("identity"), TransformSpec("identity")]
-    TaskSet(transforms=t, probabilities=[0.5, 0.5])
-    with pytest.raises(ValueError):
-        TaskSet(transforms=t, probabilities=[0.4, 0.4])
-    with pytest.raises(ValueError):
-        TaskSet(transforms=t, probabilities=[1.0, 0.0])
-    with pytest.raises(ValueError):
-        TaskSet(transforms=t, probabilities=[1.0])
-    with pytest.raises(ValueError):
-        TaskSet(transforms=[], probabilities=[])
+def test_task_set_rejects_no_tasks_and_starts_uniform():
+    with pytest.raises(ValueError, match="at least one transform"):
+        TaskSet([])
+    ts = TaskSet([TransformSpec("identity"), TransformSpec("density", 1.4)] * 2)
+    np.testing.assert_array_equal(ts.probabilities, np.full(4, 0.25))
+    ts.probabilities[0] = 1.0  # a read is a copy: the starting weights stay uniform
+    np.testing.assert_array_equal(ts.probabilities, np.full(4, 0.25))
+    with pytest.raises(AttributeError):
+        ts.probabilities = np.array([1.0, 0.0, 0.0, 0.0])
 
 
 def test_fixed_task_set_layout():
@@ -337,7 +332,7 @@ def test_meta_validate_equals_corrupt_then_evaluate():
         TransformSpec("occlusion", 0.25),
         TransformSpec("occlusion", 10.0),
     ]
-    ts = TaskSet(specs, np.full(len(specs), 1.0 / len(specs)))
+    ts = TaskSet(specs)
     assert sum(sizes) > 2 * EVAL_POINTS
     for seed in (41, 42):
         params = init_params(3, np.random.default_rng(seed))
@@ -512,7 +507,7 @@ def test_train_metasets_collapses_to_none_under_identity_tasks():
         np.testing.assert_array_equal(a.params[key], b.params[key])
 
 
-@pytest.mark.parametrize("mode", [MODE_NONE, MODE_AUGMENT, MODE_NO_SOFT])
+@pytest.mark.parametrize("mode", [MODE_NONE, MODE_AUGMENT, MODE_NO_SOFT, MODE_STATIC])
 def test_train_stops_at_first_non_finite_loss(mode):
     """A diverging run stops before its update instead of writing nan parameters."""
     ds = toy_dataset(45)
@@ -533,10 +528,15 @@ def test_train_stops_at_first_non_finite_loss(mode):
         (MODE_AUGMENT, 0.01, 1),
         (MODE_METASETS, 0.01, 2 * 3),
         (MODE_METASETS, 0.0, 3),
+        (MODE_STATIC, 0.01, 2 * 3),
     ],
 )
 def test_train_gradients_per_outer_step(monkeypatch, mode, eta, per_step):
-    """k = 3 tasks take 2k gradients with the inner step on and k at eta 0."""
+    """k = 3 tasks take 2k gradients with the inner step on and k at eta 0.
+
+    Static mode draws every task's rows of every training and validation
+    cloud before step 1 and none after it.
+    """
     counts = {"grads": 0, "transforms": 0}
     real_grad, real_transform = meta.network.loss_and_grad, meta.transform_rows
 
@@ -551,10 +551,11 @@ def test_train_gradients_per_outer_step(monkeypatch, mode, eta, per_step):
     monkeypatch.setattr(meta.network, "loss_and_grad", counting_grad)
     monkeypatch.setattr(meta, "transform_rows", counting_transform)
     seen = []
+    train_set, val_set = toy_dataset(36), toy_dataset(37)  # 12 items each
     train(
         quick_config(tasks_per_step=3, eta=eta, max_epochs=1),
-        toy_dataset(36),  # 12 items, batch 6 -> 2 steps; validation runs after both
-        toy_dataset(37),
+        train_set,  # batch 6 -> 2 steps; validation runs after both
+        val_set,
         build_task_set("paper"),
         mode=mode,
         step_callback=lambda i, p: seen.append(dict(counts)),
@@ -562,6 +563,10 @@ def test_train_gradients_per_outer_step(monkeypatch, mode, eta, per_step):
     assert [c["grads"] for c in seen] == [per_step, 2 * per_step]
     if mode == MODE_NONE:
         assert [c["transforms"] for c in seen] == [0, 0]
+    if mode == MODE_STATIC:
+        up_front = 9 * (len(train_set.items) + len(val_set.items))
+        assert [c["transforms"] for c in seen] == [up_front, up_front]
+        assert counts["transforms"] == up_front
 
 
 # ----------------------------------------------------------------- run outputs
