@@ -54,7 +54,7 @@ class ConfigError(ValueError):
 def read_config(path):
     """Parse a flat key-value config file ("key = value", # comments) of UTF-8 text."""
     values = {}
-    for lineno, raw in enumerate(data._read_text(Path(path), ConfigError).splitlines(), start=1):
+    for lineno, raw in enumerate(data._read_lines(Path(path), ConfigError), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -71,6 +71,17 @@ def read_config(path):
         if key in CONFIG_CHOICES and value not in CONFIG_CHOICES[key]:
             raise ConfigError(f"{path}:{lineno}: unknown {key} {value!r}")
     return values
+
+
+def _seed(text):
+    """argparse type of --seed: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
 
 
 def cmd_generate(args, parser):
@@ -202,7 +213,7 @@ def build_parser():
     p.add_argument("--classes", type=int, default=5)
     p.add_argument("--per-class", type=int, required=True)
     p.add_argument("--points", type=int, default=1024)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 
@@ -211,7 +222,7 @@ def build_parser():
     p.add_argument("--g", type=float, help="density gate (> 1)")
     p.add_argument("--x", type=float, help="drop percent in (0, 100)")
     p.add_argument("--w", type=float, help="occlusion cell size (> 0)")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("files", nargs="+", metavar="FILE")
     p.set_defaults(func=cmd_transform)
@@ -221,7 +232,7 @@ def build_parser():
     p.add_argument("--config", help="flat key-value config file")
     p.add_argument("--mode", choices=meta.MODES)
     p.add_argument("--task-params", dest="task_params", choices=meta.TASK_MODES)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 

@@ -294,10 +294,19 @@ def _read_text(path, error=DatasetFormatError):
         raise error(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
 
 
+def _read_lines(path, error=DatasetFormatError):
+    """A file's UTF-8 lines, each ended by "\n" only, numbered as _read_text numbers them.
+
+    Other line breaks, such as form feed or U+2028, stay inside a line as whitespace, and
+    so does the "\r" of a "\r\n" ending.
+    """
+    return _read_text(path, error).removesuffix("\n").split("\n")
+
+
 def load_cloud(path):
     """Read one cloud file, validating the header count against the body."""
     path = Path(path)
-    lines = _read_text(path).splitlines()
+    lines = _read_lines(path)
     if not lines or not lines[0].strip():
         raise DatasetFormatError(f"{path}:1: empty cloud file")
     head = lines[0].split()
@@ -375,7 +384,7 @@ def load_dataset(path):
     if path.is_file():
         base = path.parent
         rows = []
-        for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
+        for lineno, line in enumerate(_read_lines(path), start=1):
             if not line.strip():
                 continue
             if "\0" in line:

@@ -241,6 +241,8 @@ class TrainConfig:
     max_epochs: int = 30
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for key in ("eta", "beta", "epsilon"):
             if not math.isfinite(getattr(self, key)):
                 raise ValueError(f"{key} must be finite, got {getattr(self, key)}")

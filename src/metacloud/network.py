@@ -164,7 +164,9 @@ def forward(params, points):
 
 
 def cross_entropy(logits, labels):
-    """Mean cross entropy and the softmax matrix (stable log-sum-exp)."""
+    """Mean cross entropy and the softmax matrix (stable log-sum-exp); one label per row."""
+    if len(labels) != len(logits):
+        raise ValueError(f"got {len(labels)} labels for {len(logits)} clouds")
     shift = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shift)
     total = exp.sum(axis=1, keepdims=True)

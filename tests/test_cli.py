@@ -259,6 +259,23 @@ def test_read_config_errors_carry_line_numbers(tmp_path):
         read_config(not_utf8)
 
 
+def test_read_config_lines_end_at_newline_only(tmp_path):
+    """A form feed neither ends a config line nor shifts the numbers of later lines."""
+    shifted = tmp_path / "a.cfg"
+    shifted.write_text("seed = 3\x0c\nlearning_rate = 0.1\n")
+    with pytest.raises(ConfigError, match=r"a\.cfg:2: unknown key 'learning_rate'"):
+        read_config(shifted)
+
+    joined = tmp_path / "b.cfg"
+    joined.write_text("seed = 3\nmode = none\x0cbatch_size = 4\n")
+    with pytest.raises(ConfigError, match=r"b\.cfg:2: unknown mode"):
+        read_config(joined)
+
+    crlf = tmp_path / "c.cfg"
+    crlf.write_bytes(b"seed = 3\r\nmode = none\r\n")
+    assert read_config(crlf) == {"seed": 3, "mode": "none"}
+
+
 # ------------------------------------------------------------------ train/eval
 
 
@@ -310,6 +327,26 @@ def test_train_flags_override_config(bench_dir, tmp_path, capsys):
 def test_train_requires_a_seed(bench_dir, tmp_path):
     assert run_cli(["train", "--manifest", str(bench_dir),
                     "--out", str(tmp_path / "r")]) == 2
+
+
+def test_negative_seeds_are_rejected_by_name(bench_dir, cloud_file, tmp_path, capsys):
+    """--seed below 0 is a usage error naming the flag; a config seed below 0 names the key."""
+    out = str(tmp_path / "o")
+    for argv in (
+        ["generate", "--per-class", "2", "--seed", "-1", "--out", out],
+        ["transform", "--kind", "density", "--g", "1.4", "--seed", "-2", "--out", out,
+         str(cloud_file)],
+        ["train", "--manifest", str(bench_dir), "--seed", "-3", "--out", out],
+        ["train", "--manifest", str(bench_dir), "--seed", "three", "--out", out],
+    ):
+        assert run_cli(argv) == 2
+        assert "argument --seed: expected a non-negative integer" in capsys.readouterr().err
+    cfg = tmp_path / "neg.cfg"
+    cfg.write_text("seed = -5\n")
+    assert run_cli(["train", "--manifest", str(bench_dir), "--config", str(cfg),
+                    "--out", out]) == 4
+    assert "error: seed must be >= 0, got -5" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_train_reports_config_and_data_errors(bench_dir, tmp_path, capsys):

@@ -343,6 +343,30 @@ def test_load_cloud_reports_file_and_line(tmp_path):
         load_cloud(late_bad_byte)
 
 
+def test_cloud_lines_end_at_newline_only(tmp_path):
+    """Form feed and other Unicode breaks stay inside a line; "\r\n" endings load."""
+    feed_ends_line = tmp_path / "ff.txt"
+    feed_ends_line.write_text("3 0\n0 0 0\n1 1 1\x0c\n2 x 2\n")
+    with pytest.raises(DatasetFormatError, match=r"ff\.txt:4: bad float"):
+        load_cloud(feed_ends_line)
+
+    feed_joins_points = tmp_path / "ff2.txt"
+    feed_joins_points.write_text("2 0\n0 0 0\x0c1 1 1\n")
+    with pytest.raises(DatasetFormatError, match=r"ff2\.txt:2: header says 2 points, file holds 1"):
+        load_cloud(feed_joins_points)
+
+    line_separator = tmp_path / "ls.txt"
+    line_separator.write_text("2 0\n0 0 0\u20281 1 1\n1 1 1\n", encoding="utf-8")
+    with pytest.raises(DatasetFormatError, match=r"ls\.txt:2: expected 3 coordinates"):
+        load_cloud(line_separator)
+
+    crlf = tmp_path / "crlf.txt"
+    crlf.write_bytes(b"2 1\r\n0 0 0\r\n1 2 3\r\n")
+    cloud = load_cloud(crlf)
+    assert cloud.label == 1
+    np.testing.assert_array_equal(cloud.points, [[0, 0, 0], [1, 2, 3]])
+
+
 # -------------------------------------------------------------- dataset on disk
 
 
@@ -418,3 +442,15 @@ def test_manifest_row_with_nul_byte_names_the_line(tmp_path):
         manifest.write_text("\n".join([rows[0], row]) + "\n")
         with pytest.raises(DatasetFormatError, match=r"manifest\.txt:2: manifest row holds a NUL byte"):
             load_dataset(manifest)
+
+
+def test_manifest_lines_end_at_newline_only(tmp_path):
+    """A form feed between two manifest rows makes one bad row, not two rows."""
+    ds = generate_synthetic_dataset(default_families(points=64)[:2], per_class=1, seed=25)
+    manifest = save_dataset(ds, tmp_path / "bench")
+    rows = manifest.read_text().splitlines()
+    manifest.write_text(f"{rows[0]}\x0c{rows[1]}\n")
+    with pytest.raises(DatasetFormatError, match=r"manifest\.txt:1: manifest rows are"):
+        load_dataset(manifest)
+    manifest.write_bytes(f"{rows[0]}\r\n{rows[1]}\r\n".encode())
+    assert len(load_dataset(manifest).items) == 2

@@ -389,6 +389,8 @@ def test_train_config_validation():
         quick_config(epsilon=0.0)
     with pytest.raises(ValueError):
         quick_config(max_epochs=0)
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        quick_config(seed=-1)
     for key in ("eta", "beta", "epsilon"):
         for value in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match=f"^{key} must be finite"):

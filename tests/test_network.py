@@ -231,6 +231,22 @@ def test_evaluate_tasks_equals_evaluate_on_subsets():
         assert losses[t] == loss and accs[t] == acc, t
 
 
+def test_label_count_must_match_cloud_count():
+    """Every loss and score rejects a label list that is not one label per cloud."""
+    params, clouds, labels = tiny_batch(8)
+    rows = [[np.arange(len(c)) for c in clouds]]
+    for wrong in (labels[:3], labels[:2], np.append(labels, 0)):
+        message = rf"^got {len(wrong)} labels for 4 clouds$"
+        with pytest.raises(ValueError, match=message):
+            loss_and_grad(params, clouds, wrong)
+        with pytest.raises(ValueError, match=message):
+            loss_batch(params, clouds, list(wrong))
+        with pytest.raises(ValueError, match=message):
+            evaluate(params, clouds, wrong)
+        with pytest.raises(ValueError, match=message):
+            evaluate_tasks(params, clouds, rows, wrong)
+
+
 def test_loss_batch_uniform_logits():
     """Zero weights give uniform softmax, so loss is log C exactly."""
     params, clouds, labels = tiny_batch(6, n_classes=5)
