@@ -295,7 +295,7 @@ def _read_text(path, error=DatasetFormatError):
 
 
 def _read_lines(path, error=DatasetFormatError):
-    """A file's UTF-8 lines, each ended by "\n" only, numbered as _read_text numbers them.
+    r"""A file's UTF-8 lines, each ended by "\n" only, numbered as _read_text numbers them.
 
     Other line breaks, such as form feed or U+2028, stay inside a line as whitespace, and
     so does the "\r" of a "\r\n" ending.
@@ -307,7 +307,7 @@ def load_cloud(path):
     """Read one cloud file, validating the header count against the body."""
     path = Path(path)
     lines = _read_lines(path)
-    if not lines or not lines[0].strip():
+    if not lines[0].strip():
         raise DatasetFormatError(f"{path}:1: empty cloud file")
     head = lines[0].split()
     if len(head) != 2:

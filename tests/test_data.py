@@ -344,7 +344,7 @@ def test_load_cloud_reports_file_and_line(tmp_path):
 
 
 def test_cloud_lines_end_at_newline_only(tmp_path):
-    """Form feed and other Unicode breaks stay inside a line; "\r\n" endings load."""
+    """Form feed and other Unicode breaks stay inside a line; CRLF endings load."""
     feed_ends_line = tmp_path / "ff.txt"
     feed_ends_line.write_text("3 0\n0 0 0\n1 1 1\x0c\n2 x 2\n")
     with pytest.raises(DatasetFormatError, match=r"ff\.txt:4: bad float"):
