@@ -14,7 +14,8 @@ Each row of a per-point layer gets the same bits in any pack (seen with
 OpenBLAS): a product of two or more rows computes every row alike, and a
 lone point goes through as two rows, since numpy would send one row down
 the matrix-vector path. The head's rows do depend on the pack: with fewer
-than four classes the last rows of its last product round differently.
+than four classes the last rows of its last product round differently, so
+training and inference both run the head once per call, on all its rows.
 
 Training (loss_and_grad) keeps all three per-point layers for its
 backward. A pack whose clouds share one size n pools the (clouds, n,
@@ -31,15 +32,12 @@ give the same bits.
 
 Inference has one path, the scorer of row subsets behind evaluate_tasks
 (the per-task validation). It runs the per-point layers once over the
-clean clouds, in packs of whole clouds up to EVAL_POINTS // 2 rows, keeps
-only the last layer, and pools each subset from its cloud's rows. Plain
-logits (logits_batch, forward, evaluate, loss_batch) are its one-task case,
-where each subset is a whole cloud and pools with no gather. The head runs
-in packs of whole clouds up to EVAL_POINTS rows of the subsets; a cloud
-larger than a bound goes through alone. The per-point features live one
-clean pack at a time, so their memory is bounded by points, but the pooled
-features of every cloud and task (256 floats each) are held until the head
-runs.
+clean clouds, in packs of whole clouds up to EVAL_POINTS rows or of one
+larger cloud, keeps only their last layer and pools each subset from its
+cloud's rows. Plain logits (logits_batch, forward, evaluate, loss_batch)
+are its one-task case: each subset is a whole cloud, pooled with no
+gather. One clean pack's per-point features live at a time, but every
+cloud's and task's pooled features (256 floats each) wait for the head.
 """
 
 import json
@@ -55,10 +53,9 @@ PARAM_KEYS = ("w1", "b1", "w2", "b2", "w3", "b3", "w4", "b4", "w5", "b5")
 CHECKPOINT_MAGIC = b"MCC\x01"
 CHECKPOINT_VERSION = 1
 
-# How many points go through one packed forward pass at most; a cloud larger
-# than this goes through alone. At 2048 rows one pass's activations take
-# about 7 MB.
-EVAL_POINTS = 2048
+# Most rows one packed inference pass takes; a larger cloud goes through
+# alone. At 1024 rows one pass's activations take about 3.5 MB.
+EVAL_POINTS = 1024
 
 
 def param_shapes(class_count):
@@ -141,11 +138,11 @@ def _head(params, pooled):
     return h4, logits
 
 
-def _eval_packs(sizes, bound=EVAL_POINTS):
-    """(lo, hi) ranges of whole clouds, each within bound rows or one cloud."""
+def _eval_packs(sizes):
+    """(lo, hi) ranges of whole clouds, each within EVAL_POINTS rows or one cloud."""
     lo, rows = 0, 0
     for i, size in enumerate(sizes):
-        if i > lo and rows + size > bound:
+        if i > lo and rows + size > EVAL_POINTS:
             yield lo, i
             lo, rows = i, 0
         rows += size
@@ -281,22 +278,15 @@ def _task_logits(params, clouds, task_rows):
     task_rows[t])], but the per-point layers run once, on the clean clouds:
     a point's features do not depend on the other points, so a subset's
     features are rows of the clean features, and its max pool is the
-    maximum over those rows. The clean packs take EVAL_POINTS // 2 rows at
-    most, because every task's pooled rows are held beside one pack's
-    features. The head then runs on each task's pooled rows in the packs
-    logits_batch forms from clouds of the subsets' sizes: with few classes
-    the rounding of its last product depends on a row's place in the pack,
-    so array t has the bits of logits_batch on the subset clouds.
+    maximum over those rows. Every task's pooled rows are held beside one
+    clean pack's features. The head runs once per task on all its rows, as
+    loss_and_grad runs it on its batch.
     """
     pooled = np.empty((len(task_rows), len(clouds), POINT_SIZES[-1]))
-    for lo, hi in _eval_packs([len(pts) for pts in clouds], EVAL_POINTS // 2):
+    for lo, hi in _eval_packs([len(pts) for pts in clouds]):
         rows = [task[lo:hi] for task in task_rows]
         _pool_subsets(params, clouds[lo:hi], rows, pooled[:, lo:hi])
-    logits = []
-    for rows, task_pooled in zip(task_rows, pooled):
-        packs = _eval_packs([len(kept) for kept in rows])
-        logits.append(np.concatenate([_head(params, task_pooled[lo:hi])[1] for lo, hi in packs]))
-    return logits
+    return [_head(params, task_pooled)[1] for task_pooled in pooled]
 
 
 def evaluate_tasks(params, clouds, task_rows, labels):

@@ -116,11 +116,11 @@ def assert_maximal_packs(packs, sizes, bound):
 
 
 def test_forward_chunking_transparent(monkeypatch):
-    """Batches larger than the eval bounds produce the same logits.
+    """Batches larger than the eval bound produce the same logits.
 
     The clean pass takes whole clouds until the next one would pass
-    EVAL_POINTS // 2 rows, the head until it would pass EVAL_POINTS; a
-    larger cloud goes alone. Different packing widths reorder BLAS
+    EVAL_POINTS rows; a larger cloud goes alone. The head runs once, on
+    every cloud of the call. Different packing widths reorder BLAS
     accumulation, so cross-chunking equality is to rounding only; the same
     call is bit-repeatable.
     """
@@ -150,11 +150,29 @@ def test_forward_chunking_transparent(monkeypatch):
     got = logits_batch(params, mixed)
     want = np.stack([mini_logits(params, c) for c in mixed])
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-    sizes = [len(c) for c in mixed]
-    assert_maximal_packs(clean, sizes, EVAL_POINTS // 2)
-    ends = np.cumsum(heads)
-    assert_maximal_packs([sizes[end - n : end] for n, end in zip(heads, ends)], sizes, EVAL_POINTS)
-    assert max(len(p) for p in clean) > 1 and max(heads) > max(len(p) for p in clean)
+    assert_maximal_packs(clean, [len(c) for c in mixed], EVAL_POINTS)
+    assert max(len(p) for p in clean) > 1 and len(clean) > 2
+    assert heads == [len(mixed)]
+
+
+def test_logits_are_one_head_product_over_every_cloud():
+    """Inference runs the head once on the whole call's pooled rows, as training does.
+
+    With three classes the head's last product rounds its last rows by
+    their place in the product, so any split of the head into packs shows
+    in the bits. The clouds total more than two clean packs of rows; every
+    cloud has two or more points, so the oracle's per-cloud features have
+    the packed bits.
+    """
+    rng = np.random.default_rng(50)
+    params = init_params(3, rng)
+    clouds = [rng.standard_normal((int(n), 3)) for n in rng.integers(50, 401, size=30)]
+    labels = rng.integers(0, 3, size=len(clouds))
+    assert sum(len(c) for c in clouds) > 2 * EVAL_POINTS
+    pooled = np.stack([point_features(params, c).max(axis=0) for c in clouds])
+    want = network._head(params, pooled)[1]
+    assert logits_batch(params, clouds).tobytes() == want.tobytes()
+    assert loss_batch(params, clouds, labels) == loss_and_grad(params, clouds, labels)[0]
 
 
 def test_ragged_pool_matches_per_cloud_reference(monkeypatch):
@@ -204,10 +222,10 @@ def test_ragged_pool_matches_per_cloud_reference(monkeypatch):
 def test_evaluate_tasks_equals_evaluate_on_subsets():
     """Each task's logits and score are evaluate's on the row subsets, bit for bit.
 
-    The clouds' sizes make both packings awkward: a one-point cloud that
-    goes through the clean pass alone but among others as a one-row subset,
-    and a one-row subset that evaluate packs alone while its clean cloud
-    has 40 points. Clouds of EVAL_POINTS rows and more go alone in both.
+    The clouds' sizes make the clean packing awkward: a one-point cloud
+    among others, and clouds of EVAL_POINTS rows and more, which go alone.
+    Tasks keep whole clouds, one row per cloud, a third of each cloud, and
+    whole clouds but one row of the 40-point cloud.
     """
     rng = np.random.default_rng(32)
     params = init_params(3, rng)
