@@ -1,15 +1,17 @@
 """Write every artifact of a fixed set of metacloud commands, to compare two trees.
 
-Runs, through the command line of the sources at --src:
+Runs, with the sources at --src:
 - `generate`: 3 classes x 12 clouds of 96 points, seed 7;
 - `train` in every mode under both task grids (`paper`, `stratified`), seed
   11, batch 8, 3 tasks per step, 3 epochs, eta 0.001, beta 0.002, plus
   `metasets` and `static-transform` at eta 0; then `eval --out` of each
-  checkpoint on the generated set;
+  checkpoint on the generated set, and `logits.txt` beside it: the `repr`
+  of every `network.logits_batch` entry on that set, whose last bits the
+  loss and accuracies of `eval` can hide;
 - one `transform` of each kind (`--g 1.4`, `--x 36`, `--w 0.05`, seed 3)
   over all generated clouds.
 
-Each command runs in its own interpreter with BLAS pinned to one thread and
+Each step runs in its own interpreter with BLAS pinned to one thread and
 the output directory as working directory, and its stdout and exit code go
 to `<step>.log`, so runs of two source trees compare with one `diff -r`:
 
@@ -28,18 +30,33 @@ MODES = ("metasets", "none", "augment", "no-soft-sampling", "static-transform")
 TASK_GRIDS = ("paper", "stratified")
 CONFIG = "batch_size = 8\ntasks_per_step = 3\nmax_epochs = 3\nbeta = 0.002\n"
 TRANSFORMS = (("density", "--g", "1.4"), ("dropping", "--x", "36"), ("occlusion", "--w", "0.05"))
+# argv: checkpoint, manifest, output file; one line of logits per cloud.
+LOGITS = """
+import sys
+from metacloud import data, network
+params = network.load_checkpoint(sys.argv[1])[0]
+clouds, _ = data.load_dataset(sys.argv[2]).points_and_labels()
+with open(sys.argv[3], "w") as fh:
+    for row in network.logits_batch(params, clouds).tolist():
+        fh.write(" ".join(map(repr, row)) + "\\n")
+"""
 
 
-def run(src, out, step, argv):
-    """Run `python -m metacloud argv` from out; stop the whole script if it fails."""
+def python(src, out, step, argv):
+    """Run `python argv` from out; stop the whole script if it fails."""
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     proc = subprocess.run(
-        [sys.executable, "-m", "metacloud", *argv],
+        [sys.executable, *argv],
         cwd=out, env=env, capture_output=True, text=True,
     )
     (out / f"{step}.log").write_text(f"exit {proc.returncode}\n{proc.stdout}{proc.stderr}")
     if proc.returncode != 0:
         sys.exit(f"{step}: exit {proc.returncode}\n{proc.stderr}")
+
+
+def run(src, out, step, argv):
+    """Run `python -m metacloud argv` from out; stop the whole script if it fails."""
+    python(src, out, step, ["-m", "metacloud", *argv])
 
 
 def main(argv=None):
@@ -67,6 +84,8 @@ def main(argv=None):
                 run(src, out, f"eval-{name}",
                     ["eval", "--checkpoint", f"runs/{name}/model.ckpt", "--manifest", "data",
                      "--out", f"runs/{name}/eval.json"])
+                python(src, out, f"logits-{name}",
+                    ["-c", LOGITS, f"runs/{name}/model.ckpt", "data", f"runs/{name}/logits.txt"])
     clouds = sorted(str(p.relative_to(out)) for p in (out / "data").rglob("*.txt")
                     if p.name != "manifest.txt")
     for kind, flag, value in TRANSFORMS:

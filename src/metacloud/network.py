@@ -34,10 +34,10 @@ Inference has one path, the scorer of row subsets behind evaluate_tasks
 (the per-task validation). It runs the per-point layers once over the
 clean clouds, in packs of whole clouds up to EVAL_POINTS rows or of one
 larger cloud, keeps only their last layer and pools each subset from its
-cloud's rows. Plain logits (logits_batch, forward, evaluate, loss_batch)
-are its one-task case: each subset is a whole cloud, pooled with no
-gather. One clean pack's per-point features live at a time, but every
-cloud's and task's pooled features (256 floats each) wait for the head.
+cloud's rows. Plain logits (logits_batch, evaluate, loss_batch) are its
+one-task case: each subset is a whole cloud, pooled with no gather. One
+clean pack's per-point features live at a time, but every cloud's and
+task's pooled features (256 floats each) wait for the head.
 """
 
 import json
@@ -52,6 +52,9 @@ PARAM_KEYS = ("w1", "b1", "w2", "b2", "w3", "b3", "w4", "b4", "w5", "b5")
 
 CHECKPOINT_MAGIC = b"MCC\x01"
 CHECKPOINT_VERSION = 1
+
+# Adam's decay rates and denominator guard; a checkpoint header records them.
+ADAM_SETTINGS = {"beta1": 0.9, "beta2": 0.999, "eps": 1e-8}
 
 # Most rows one packed inference pass takes; a larger cloud goes through
 # alone. At 1024 rows one pass's activations take about 3.5 MB.
@@ -153,11 +156,6 @@ def logits_batch(params, clouds):
     """Logits for a sequence of clouds, shape (len(clouds), C)."""
     clouds = list(clouds)
     return _task_logits(params, clouds, [[range(len(pts)) for pts in clouds]])[0]
-
-
-def forward(params, points):
-    """Logits for a single cloud, shape (C,)."""
-    return logits_batch(params, [np.asarray(points, dtype=np.float64)])[0]
 
 
 def cross_entropy(logits, labels):
@@ -318,9 +316,6 @@ class AdamState:
     m: dict
     v: dict
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def init_adam(params):
@@ -333,16 +328,15 @@ def init_adam(params):
 def adam_step(state, params, grads, lr):
     """One bias-corrected Adam step; returns (new_state, new_params)."""
     t = state.step + 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2, eps = ADAM_SETTINGS["beta1"], ADAM_SETTINGS["beta2"], ADAM_SETTINGS["eps"]
     m, v, out = {}, {}, {}
     for key in params:
         m[key] = b1 * state.m[key] + (1.0 - b1) * grads[key]
         v[key] = b2 * state.v[key] + (1.0 - b2) * grads[key] ** 2
         m_hat = m[key] / (1.0 - b1**t)
         v_hat = v[key] / (1.0 - b2**t)
-        out[key] = params[key] - lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    new_state = AdamState(m=m, v=v, step=t, beta1=b1, beta2=b2, eps=state.eps)
-    return new_state, out
+        out[key] = params[key] - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return AdamState(m=m, v=v, step=t), out
 
 
 def save_checkpoint(path, params, adam_state, class_names):
@@ -361,12 +355,7 @@ def save_checkpoint(path, params, adam_state, class_names):
     header = {
         "version": CHECKPOINT_VERSION,
         "class_names": list(class_names),
-        "adam": {
-            "step": adam_state.step,
-            "beta1": adam_state.beta1,
-            "beta2": adam_state.beta2,
-            "eps": adam_state.eps,
-        },
+        "adam": dict(ADAM_SETTINGS, step=adam_state.step),
         "arrays": [[name, list(arr.shape)] for name, arr in arrays],
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
@@ -396,9 +385,12 @@ def load_checkpoint(path):
             header = json.loads(fh.read(header_len).decode())
             if header["version"] != CHECKPOINT_VERSION:
                 raise ValueError(f"unsupported checkpoint version {header['version']}")
-            adam = {key: header["adam"][key] for key in ("step", "beta1", "beta2", "eps")}
+            adam = {key: header["adam"][key] for key in ("step", *ADAM_SETTINGS)}
             if type(adam["step"]) is not int or adam["step"] < 0:
                 raise ValueError(f"Adam step must be a non-negative int, got {adam['step']!r}")
+            for key, value in ADAM_SETTINGS.items():
+                if adam[key] != value:
+                    raise ValueError(f"Adam {key} must be {value!r}, got {adam[key]!r}")
             shapes = {name: [int(n) for n in shape] for name, shape in header["arrays"]}
             class_names = header["class_names"]
             if type(class_names) is not list or not all(type(n) is str for n in class_names):
@@ -421,5 +413,5 @@ def load_checkpoint(path):
             if len(buf) != count * 8:
                 raise ValueError(f"{path}: truncated checkpoint")
             groups[group][key] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-    adam_state = AdamState(m=groups["adam_m"], v=groups["adam_v"], **adam)
+    adam_state = AdamState(m=groups["adam_m"], v=groups["adam_v"], step=adam["step"])
     return groups["param"], adam_state, class_names

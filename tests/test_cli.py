@@ -3,6 +3,7 @@
 import importlib.metadata
 import json
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -409,10 +410,24 @@ def test_eval_rejects_mismatched_dataset(trained_dir, tmp_path):
 
 
 def test_eval_rejects_corrupt_checkpoint(bench_dir, tmp_path, capsys):
+    """A cut checkpoint, or a header whose Adam beta1 or eps is not the optimizer's, exits 4."""
     bad = tmp_path / "cut.ckpt"
     bad.write_bytes(b"MCC\x01\x05")
     assert run_cli(["eval", "--checkpoint", str(bad), "--manifest", str(bench_dir)]) == 4
     assert f"error: {bad}: truncated checkpoint" in capsys.readouterr().err
+
+    params = network.init_params(3, np.random.default_rng(0))
+    path = tmp_path / "model.ckpt"
+    network.save_checkpoint(path, params, network.init_adam(params), ["cone", "cube", "cylinder"])
+    blob = path.read_bytes()
+    (size,) = struct.unpack("<I", blob[4:8])
+    header = json.loads(blob[8 : 8 + size])
+    for key, value in (("beta1", "x"), ("eps", -1.0)):
+        text = json.dumps(dict(header, adam=dict(header["adam"], **{key: value}))).encode()
+        bad = tmp_path / f"{key}.ckpt"
+        bad.write_bytes(blob[:4] + struct.pack("<I", len(text)) + text + blob[8 + size :])
+        assert run_cli(["eval", "--checkpoint", str(bad), "--manifest", str(bench_dir)]) == 4
+        assert f"error: {bad}: bad checkpoint header" in capsys.readouterr().err
 
 
 def test_eval_rejects_checkpoint_of_wrong_shape(bench_dir, tmp_path, capsys):

@@ -15,7 +15,6 @@ from metacloud.network import (
     adam_step,
     evaluate,
     evaluate_tasks,
-    forward,
     init_adam,
     init_params,
     load_checkpoint,
@@ -86,7 +85,7 @@ def test_forward_matches_independent_implementation():
     got = logits_batch(params, clouds)
     want = np.stack([mini_logits(params, c) for c in clouds])
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(forward(params, clouds[0]), want[0], atol=1e-12)
+    np.testing.assert_allclose(logits_batch(params, clouds[:1])[0], want[0], atol=1e-12)
 
 
 def test_forward_invariant_to_point_order():
@@ -430,10 +429,7 @@ def test_sgd_step_does_not_mutate_inputs():
 def test_adam_two_steps_match_reference():
     """Hand-rolled Adam on a single scalar parameter, two updates."""
     params = {"w": np.array([1.0])}
-    state = AdamState(
-        m={"w": np.zeros(1)}, v={"w": np.zeros(1)}, step=0,
-        beta1=0.9, beta2=0.999, eps=1e-8,
-    )
+    state = AdamState(m={"w": np.zeros(1)}, v={"w": np.zeros(1)}, step=0)
     lr = 0.1
     g1 = {"w": np.array([2.0])}
     g2 = {"w": np.array([-1.0])}
@@ -463,7 +459,7 @@ def test_optimizer_steps_match_textbook_bits_and_keep_inputs():
     rng = np.random.default_rng(18)
     params = init_params(5, rng)
     state = init_adam(params)
-    b1, b2, eps, lr = state.beta1, state.beta2, state.eps, 1e-3
+    b1, b2, eps, lr = 0.9, 0.999, 1e-8, 1e-3
     for t in range(1, 5):
         grads = {k: rng.standard_normal(v.shape) * 10.0 ** rng.integers(-6, 2) for k, v in params.items()}
         inputs = (state.m, state.v, params, grads)
@@ -523,7 +519,10 @@ def test_checkpoint_roundtrip(tmp_path):
     got_params, got_state, names = load_checkpoint(path)
     assert names == ["cone", "cube", "sphere"]
     assert got_state.step == 1
-    assert got_state.beta1 == state.beta1
+    blob = path.read_bytes()
+    (size,) = struct.unpack("<I", blob[4:8])
+    adam = json.loads(blob[8 : 8 + size])["adam"]
+    assert adam == {"step": 1, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8}
     for key in PARAM_KEYS:
         np.testing.assert_array_equal(got_params[key], params[key])
         np.testing.assert_array_equal(got_state.m[key], state.m[key])
@@ -580,6 +579,15 @@ def test_checkpoint_rejects_corruption(tmp_path):
         "adam_step_string": dict(header, adam=dict(header["adam"], step="x")),
         "adam_step_negative": dict(header, adam=dict(header["adam"], step=-1)),
         "adam_step_float": dict(header, adam=dict(header["adam"], step=1.5)),
+        "adam_beta1_string": dict(header, adam=dict(header["adam"], beta1="x")),
+        "adam_beta1_null": dict(header, adam=dict(header["adam"], beta1=None)),
+        "adam_beta1_list": dict(header, adam=dict(header["adam"], beta1=[1])),
+        "adam_beta1_other": dict(header, adam=dict(header["adam"], beta1=0.8)),
+        "adam_beta2_other": dict(header, adam=dict(header["adam"], beta2=0.99)),
+        "adam_eps_string": dict(header, adam=dict(header["adam"], eps="x")),
+        "adam_eps_null": dict(header, adam=dict(header["adam"], eps=None)),
+        "adam_eps_list": dict(header, adam=dict(header["adam"], eps=[1])),
+        "adam_eps_negative": dict(header, adam=dict(header["adam"], eps=-1.0)),
     }
     files = {"header_cut": b"MCC\x01\x05", "json_cut": blob[:20]}
     for name, bad in bad_headers.items():
