@@ -12,10 +12,10 @@ from .geometry import (
     transform_rows,
 )
 from .meta import (
+    Run,
     TaskSet,
     TrainConfig,
     build_task_set,
-    meta_train_step,
     meta_validate,
     sample_task_indices,
     train,
@@ -27,13 +27,13 @@ __version__ = "0.1.0"
 __all__ = [
     "PointCloud",
     "TransformSpec",
+    "Run",
     "TaskSet",
     "TrainConfig",
     "apply_transform",
     "build_task_set",
     "density_rows",
     "dropping_rows",
-    "meta_train_step",
     "meta_validate",
     "normalize_unit_ball",
     "occlusion_rows",

@@ -128,7 +128,7 @@ def cmd_transform(args, parser):
         data.save_cloud(dest, PointCloud(transformed, cloud.label))
         print(f"{src} -> {dest} ({len(cloud.points)} -> {len(transformed)} points)")
     (out / PROVENANCE_NAME).write_text(
-        f"kind={args.kind} {flag}={given[flag]} seed={args.seed}\n"
+        f"kind={args.kind} {flag}={given[flag]} seed={args.seed}\n", encoding="utf-8"
     )
     return 0
 
@@ -148,23 +148,22 @@ def cmd_train(args, parser):
     task_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(100,)))
     task_set = meta.build_task_set(task_params, rng=task_rng)
 
-    result = meta.train(config, train_set, val_set, task_set, mode=mode)
-    for rec in result.history:
-        print(
-            f"epoch {rec.epoch}: train_loss={rec.train_loss:.4f} "
-            f"val_loss_mean={rec.val_losses.mean():.4f} "
-            f"val_acc_mean={rec.val_accuracies.mean():.4f}"
-        )
+    run = meta.Run(config, train_set, val_set, task_set, mode)
+    while not run.done:
+        rec = run.epoch()
+        print(f"epoch {rec.epoch}: train_loss={rec.train_loss:.4f} "
+              f"val_loss_mean={rec.val_losses.mean():.4f} "
+              f"val_acc_mean={rec.val_accuracies.mean():.4f}", flush=True)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    network.save_checkpoint(out / CHECKPOINT_NAME, result.params, result.adam, dataset.class_names)
-    meta.write_history_csv(out / HISTORY_NAME, result.history, len(task_set.transforms))
-    summary = meta.build_summary(config, mode, task_set, result)
+    network.save_checkpoint(out / CHECKPOINT_NAME, run.params, run.adam, dataset.class_names)
+    meta.write_history_csv(out / HISTORY_NAME, run.history, len(task_set.transforms))
+    summary = meta.build_summary(config, mode, task_set, run)
     summary["task_params"] = task_params
     meta.write_summary(out / SUMMARY_NAME, summary)
-    print(f"{'converged' if result.converged else 'not converged'} "
-          f"after {len(result.history)} epochs; outputs in {out}")
+    print(f"{'converged' if run.converged else 'not converged'} "
+          f"after {len(run.history)} epochs; outputs in {out}")
     return 0
 
 

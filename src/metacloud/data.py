@@ -281,7 +281,7 @@ def save_cloud(path, cloud):
     lines = [f"{len(pts)} {cloud.label}"]
     for x, y, z in pts.tolist():
         lines.append(f"{x!r} {y!r} {z!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _read_text(path, error=DatasetFormatError):
@@ -367,7 +367,7 @@ def save_dataset(dataset, out_dir):
         save_cloud(out / rel, item)
         manifest_rows.append(f"{rel} {name}")
     manifest = out / MANIFEST_NAME
-    manifest.write_text("\n".join(manifest_rows) + "\n")
+    manifest.write_text("\n".join(manifest_rows) + "\n", encoding="utf-8")
     return manifest
 
 

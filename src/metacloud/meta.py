@@ -7,7 +7,7 @@ inner gradient descent per task, and sums the post-adaptation gradients
 update. After each epoch every task is scored on the validation split and
 the sampling probabilities become the softmax of those losses, so harder
 tasks are sampled more. The ablation baselines are the same loop with parts
-switched off (see train); with inner rate 0 a task takes one gradient.
+switched off (see Run); with inner rate 0 a task takes one gradient.
 
 Every task batch is a row table, the rows each task keeps of each cloud; a
 step cuts its corrupted clouds from the clean ones, and the static-transform
@@ -178,20 +178,6 @@ def _meta_step(params, clouds, labels, indices, task_rows, eta):
     )
 
 
-def meta_train_step(params, task_set, clouds, labels, k, eta, task_rng, transform_rng):
-    """One bilevel step on a source minibatch with fresh dynamic transforms.
-
-    Samples k tasks from the task set's probabilities, corrupts the same
-    minibatch once per sampled task (fresh dynamic draws per cloud), adapts
-    the parameters one inner step of size eta per task, and returns the
-    summed post-adaptation gradients plus the summed post-adaptation loss.
-    Duplicate task draws simply contribute twice.
-    """
-    indices = sample_task_indices(task_set.probabilities, k, task_rng)
-    task_rows = _draw_rows(task_set, indices, clouds, transform_rng)
-    return _meta_step(params, clouds, labels, indices, task_rows, eta)
-
-
 def meta_validate(params, task_set, clouds, labels, rng):
     """Score every task on a validation split.
 
@@ -226,6 +212,10 @@ def _draw_one_uniform(probabilities, k, rng):
 
 def _draw_raw(probabilities, k, rng):
     return [None]
+
+
+# The tasks a step draws in the modes that do not draw k by weight.
+_DRAWS = {MODE_NONE: _draw_raw, MODE_AUGMENT: _draw_one_uniform}
 
 
 @dataclass
@@ -271,101 +261,110 @@ class EpochRecord:
     train_loss: float
 
 
-@dataclass
-class TrainResult:
-    params: dict
-    adam: network.AdamState
-    history: list
-    converged: bool
-
-
 def _streams(seed):
     children = np.random.SeedSequence(seed).spawn(len(_STREAM_NAMES))
     return {name: np.random.default_rng(c) for name, c in zip(_STREAM_NAMES, children)}
 
 
-def train(config, train_set, val_set, task_set, mode=MODE_METASETS, step_callback=None):
-    """Run one training mode to convergence or the epoch cap.
+class Run:
+    """One training run's state, advanced one epoch at a time by epoch().
 
-    All modes share one loop; the mode is read once, before it, as four
-    settings: the tasks a step draws (k by weight, one uniform task, or the
-    raw batch), soft or frozen weights, the inner rate (0 turns the inner
-    step off) and fresh or cached task rows. Fresh rows are drawn anew for
-    every batch and validation; cached ones are drawn once per task and
-    cloud up front, training before validation, and reused every epoch.
-
-    Training stops early once every per-task validation loss falls below
-    config.epsilon. step_callback(step_index, params), when given, runs
-    after every outer update. Returns a TrainResult whose history has one
-    EpochRecord per completed epoch. A task loss that is not finite stops
-    training before its update with a ValueError naming the epoch, the step
-    and the task.
+    All modes share one loop; the mode is read once, here, as four settings:
+    the tasks a step draws (k by weight, one uniform task, or the raw
+    batch), soft or frozen weights, the inner rate (0 turns the inner step
+    off) and fresh or cached task rows. Fresh rows are drawn anew for every
+    batch and validation; cached ones are drawn once per task and cloud
+    here, training before validation, and reused every epoch. The run holds
+    params, adam, probabilities, step_index (outer updates so far), history
+    (one EpochRecord per epoch) and converged (every per-task validation
+    loss of the last epoch below config.epsilon).
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown training mode {mode!r}")
-    n_tasks = len(task_set.transforms)
-    if config.tasks_per_step > n_tasks:
-        raise ValueError(f"tasks_per_step {config.tasks_per_step} exceeds task count {n_tasks}")
-    class_count = len(train_set.class_names)
-    train_clouds, train_labels = train_set.points_and_labels()
-    val_clouds, val_labels = val_set.points_and_labels()
-    if not len(train_clouds) or not len(val_clouds):
-        raise ValueError("train and validation splits must be non-empty")
 
-    streams = _streams(config.seed)
-    params = network.init_params(class_count, streams["init"])
-    adam = network.init_adam(params)
-    probabilities = task_set.probabilities
-    draw = {MODE_NONE: _draw_raw, MODE_AUGMENT: _draw_one_uniform}.get(mode, sample_task_indices)
-    soft = mode in (MODE_METASETS, MODE_STATIC)
-    eta = 0.0 if mode in (MODE_NONE, MODE_AUGMENT) else config.eta
-    train_cache = val_cache = None
-    if mode == MODE_STATIC:
-        train_cache = _draw_rows(task_set, range(n_tasks), train_clouds, streams["transform"])
-        val_cache = _draw_rows(task_set, range(n_tasks), val_clouds, streams["transform"])
+    def __init__(self, config, train_set, val_set, task_set, mode=MODE_METASETS):
+        if mode not in MODES:
+            raise ValueError(f"unknown training mode {mode!r}")
+        n_tasks = len(task_set.transforms)
+        if config.tasks_per_step > n_tasks:
+            raise ValueError(f"tasks_per_step {config.tasks_per_step} exceeds task count {n_tasks}")
+        if not train_set.items or not val_set.items:
+            raise ValueError("train and validation splits must be non-empty")
+        self.config, self.task_set = config, task_set
+        self.train_set, self.val_set = train_set, val_set
+        self.streams = _streams(config.seed)
+        self.params = network.init_params(len(train_set.class_names), self.streams["init"])
+        self.adam = network.init_adam(self.params)
+        self.probabilities = task_set.probabilities
+        self.draw = _DRAWS.get(mode, sample_task_indices)
+        self.soft = mode in (MODE_METASETS, MODE_STATIC) and n_tasks >= 2
+        self.eta = 0.0 if mode in (MODE_NONE, MODE_AUGMENT) else config.eta
+        self.train_cache = self.val_cache = None
+        if mode == MODE_STATIC:
+            tasks, rng = range(n_tasks), self.streams["transform"]
+            self.train_cache = _draw_rows(task_set, tasks, train_set.points_and_labels()[0], rng)
+            self.val_cache = _draw_rows(task_set, tasks, val_set.points_and_labels()[0], rng)
+        self.step_index, self.history, self.converged = 0, [], False
 
-    history = []
-    converged = False
-    step_index = 0
-    for epoch in range(1, config.max_epochs + 1):
+    @property
+    def done(self):
+        """True once the run has converged or finished config.max_epochs epochs."""
+        return self.converged or len(self.history) >= self.config.max_epochs
+
+    def epoch(self, step_callback=None):
+        """Run one epoch's outer steps and its validation; return the epoch's EpochRecord.
+
+        step_callback(step_index, params), when given, runs after every outer
+        update. A task loss that is not finite stops the epoch before its
+        update with a ValueError naming the epoch, the step and the task.
+        """
+        config, streams, epoch = self.config, self.streams, len(self.history) + 1
+        train_clouds, train_labels = self.train_set.points_and_labels()
         order = streams["order"].permutation(len(train_clouds))
         step_losses = []
         for step, lo in enumerate(range(0, len(order), config.batch_size), start=1):
-            batch_idx = order[lo : lo + config.batch_size]
-            indices = draw(probabilities, config.tasks_per_step, streams["tasks"])
-            clouds = [train_clouds[i] for i in batch_idx]
-            if train_cache is None:
-                task_rows = _draw_rows(task_set, indices, clouds, streams["transform"])
+            batch = order[lo : lo + config.batch_size]
+            indices = self.draw(self.probabilities, config.tasks_per_step, streams["tasks"])
+            clouds, labels = [train_clouds[i] for i in batch], train_labels[batch]
+            if self.train_cache is None:
+                task_rows = _draw_rows(self.task_set, indices, clouds, streams["transform"])
             else:
-                task_rows = [[train_cache[t][i] for i in batch_idx] for t in indices]
-            result = _meta_step(params, clouds, train_labels[batch_idx], indices, task_rows, eta)
+                task_rows = [[self.train_cache[t][i] for i in batch] for t in indices]
+            result = _meta_step(self.params, clouds, labels, indices, task_rows, self.eta)
             _check_losses(result, epoch, step)
-            adam, params = network.adam_step(adam, params, result.grads, config.beta)
-            step_index += 1
+            self.adam, self.params = network.adam_step(
+                self.adam, self.params, result.grads, config.beta
+            )
+            self.step_index += 1
             step_losses.append(result.loss)
             if step_callback is not None:
-                step_callback(step_index, params)
+                step_callback(self.step_index, self.params)
 
-        if val_cache is None:
+        params, task_set = self.params, self.task_set
+        val_clouds, val_labels = self.val_set.points_and_labels()
+        if self.val_cache is None:
             scores = meta_validate(params, task_set, val_clouds, val_labels, streams["validate"])
         else:
-            scores = network.evaluate_tasks(params, val_clouds, val_cache, val_labels)
+            scores = network.evaluate_tasks(params, val_clouds, self.val_cache, val_labels)
         val_losses, val_accuracies = scores
-        if soft and n_tasks >= 2:
-            probabilities = update_probabilities(val_losses)
-        history.append(
-            EpochRecord(
-                epoch=epoch,
-                val_losses=val_losses,
-                val_accuracies=val_accuracies,
-                probabilities=probabilities.copy(),
-                train_loss=float(np.mean(step_losses)),
-            )
+        if self.soft:
+            self.probabilities = update_probabilities(val_losses)
+        record = EpochRecord(
+            epoch=epoch,
+            val_losses=val_losses,
+            val_accuracies=val_accuracies,
+            probabilities=self.probabilities.copy(),
+            train_loss=float(np.mean(step_losses)),
         )
-        if (val_losses < config.epsilon).all():
-            converged = True
-            break
-    return TrainResult(params=params, adam=adam, history=history, converged=converged)
+        self.history.append(record)
+        self.converged = bool((val_losses < config.epsilon).all())
+        return record
+
+
+def train(config, train_set, val_set, task_set, mode=MODE_METASETS, step_callback=None):
+    """Run one training mode to convergence or the epoch cap (see Run); return the Run."""
+    run = Run(config, train_set, val_set, task_set, mode)
+    while not run.done:
+        run.epoch(step_callback)
+    return run
 
 
 def write_history_csv(path, history, n_tasks):
@@ -386,17 +385,17 @@ def write_history_csv(path, history, n_tasks):
             fields.extend(repr(float(v)) for v in block)
         fields.append(repr(float(rec.train_loss)))
         lines.append(",".join(fields))
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def build_summary(config, mode, task_set, result):
+def build_summary(config, mode, task_set, run):
     """Structured run summary for the summary JSON file."""
-    final = result.history[-1]
+    final = run.history[-1]
     return {
         "mode": mode,
-        "converged": result.converged,
-        "epochs_run": len(result.history),
+        "converged": run.converged,
+        "epochs_run": len(run.history),
         "final_train_loss": final.train_loss,
         "final_val_losses": [float(v) for v in final.val_losses],
         "final_val_accuracies": [float(v) for v in final.val_accuracies],
@@ -407,6 +406,6 @@ def build_summary(config, mode, task_set, result):
 
 
 def write_summary(path, summary):
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from metacloud import data, network
+import metacloud
+from metacloud import data, meta, network
 from metacloud.cli import ConfigError, main, read_config
 from metacloud.geometry import PointCloud
 
@@ -384,6 +385,32 @@ def test_train_stops_on_non_finite_loss(bench_dir, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_train_prints_each_epoch_line_as_the_epoch_ends(bench_dir, tmp_path, capsys, monkeypatch):
+    """A loss that turns nan in epoch 2 exits 4 after epoch 1's line, and writes nothing."""
+    real_step, steps = meta._meta_step, []
+
+    def nan_at_second_step(*args):
+        result = real_step(*args)
+        steps.append(result)
+        if len(steps) == 2:
+            result.task_losses = np.full_like(result.task_losses, np.nan)
+        return result
+
+    monkeypatch.setattr(meta, "_meta_step", nan_at_second_step)
+    cfg = tmp_path / "one_step_per_epoch.cfg"
+    cfg.write_text("mode = none\nbatch_size = 64\nmax_epochs = 3\n")
+    out = tmp_path / "r"
+    code = run_cli(["train", "--manifest", str(bench_dir), "--config", str(cfg),
+                    "--seed", "0", "--out", str(out)])
+    assert code == 4
+    captured = capsys.readouterr()
+    assert re.fullmatch(
+        r"epoch 1: train_loss=\S+ val_loss_mean=\S+ val_acc_mean=\S+\n", captured.out
+    ), captured.out
+    assert "error: epoch 2, step 1, task raw: training loss is nan" in captured.err
+    assert not out.exists()
+
+
 def test_eval_reports_accuracy(trained_dir, bench_dir, tmp_path, capsys):
     report = tmp_path / "report.json"
     code = run_cli(
@@ -465,6 +492,12 @@ def test_module_entry_point(tmp_path, child_env):
     assert proc.returncode == 0, proc.stderr
     assert "wrote 2 clouds" in proc.stdout
     assert (out / "manifest.txt").is_file()
+
+
+def test_star_import_resolves_every_exported_name():
+    namespace = {}
+    exec("from metacloud import *", namespace)  # a stale __all__ entry raises AttributeError
+    assert set(metacloud.__all__) <= namespace.keys()
 
 
 def console_script_target(name):

@@ -14,11 +14,12 @@ from metacloud.meta import (
     MODE_NO_SOFT,
     MODE_NONE,
     MODE_STATIC,
+    MODES,
+    Run,
     TaskSet,
     TrainConfig,
     build_summary,
     build_task_set,
-    meta_train_step,
     meta_validate,
     sample_task_indices,
     train,
@@ -167,6 +168,13 @@ def test_update_probabilities_rejects_bad_input():
 # ------------------------------------------------------------------ meta step
 
 
+def fresh_step(params, task_set, clouds, labels, k, eta, task_rng, transform_rng):
+    """One training step with fresh rows: k tasks by weight, their rows, the bilevel step."""
+    indices = sample_task_indices(task_set.probabilities, k, task_rng)
+    task_rows = meta._draw_rows(task_set, indices, clouds, transform_rng)
+    return meta._meta_step(params, clouds, labels, indices, task_rows, eta)
+
+
 def test_meta_step_matches_manual_bilevel_computation():
     """K draws of the only task: summed gradients at the adapted parameters."""
     ds = toy_dataset(2)
@@ -174,7 +182,7 @@ def test_meta_step_matches_manual_bilevel_computation():
     params = init_params(3, np.random.default_rng(3))
     ts = identity_task_set()
     eta = 0.05
-    result = meta_train_step(
+    result = fresh_step(
         params, ts, clouds, labels, k=2, eta=eta,
         task_rng=np.random.default_rng(4), transform_rng=np.random.default_rng(5),
     )
@@ -193,7 +201,7 @@ def test_meta_step_zero_eta_reduces_to_plain_gradients():
     ds = toy_dataset(6)
     clouds, labels = ds.points_and_labels()
     params = init_params(3, np.random.default_rng(7))
-    result = meta_train_step(
+    result = fresh_step(
         params, identity_task_set(), clouds, labels, k=1, eta=0.0,
         task_rng=np.random.default_rng(8), transform_rng=np.random.default_rng(9),
     )
@@ -208,7 +216,7 @@ def test_meta_step_inner_update_descends():
     ds = toy_dataset(10, per_class=6)
     clouds, labels = ds.points_and_labels()
     params = init_params(3, np.random.default_rng(11))
-    result = meta_train_step(
+    result = fresh_step(
         params, identity_task_set(), clouds, labels, k=1, eta=0.05,
         task_rng=np.random.default_rng(12), transform_rng=np.random.default_rng(13),
     )
@@ -227,7 +235,7 @@ def test_meta_step_corrupts_batch_once_per_sampled_task(monkeypatch):
     ds = toy_dataset(14)
     clouds, labels = ds.points_and_labels()
     params = init_params(3, np.random.default_rng(15))
-    meta_train_step(
+    fresh_step(
         params, identity_task_set(2), clouds, labels, k=3, eta=0.01,
         task_rng=np.random.default_rng(16), transform_rng=np.random.default_rng(17),
     )
@@ -251,7 +259,7 @@ def test_meta_step_equals_steps_on_apply_transform_copies():
     clouds, labels = ds.points_and_labels()
     ts = build_task_set("paper")
     params = init_params(3, np.random.default_rng(47))
-    result = meta_train_step(
+    result = fresh_step(
         params, ts, clouds, labels, k=4, eta=0.05,
         task_rng=np.random.default_rng(48), transform_rng=np.random.default_rng(49),
     )
@@ -569,6 +577,31 @@ def test_train_gradients_per_outer_step(monkeypatch, mode, eta, per_step):
         up_front = 9 * (len(train_set.items) + len(val_set.items))
         assert [c["transforms"] for c in seen] == [up_front, up_front]
         assert counts["transforms"] == up_front
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("epsilon, epochs", [(1e-3, 3), (100.0, 1)])
+def test_run_epoch_by_epoch_equals_train(mode, epsilon, epochs):
+    """A Run advanced until done has train's bits; it stops at convergence or max_epochs."""
+    train_set, val_set, ts = toy_dataset(53), toy_dataset(54), build_task_set("paper")
+    cfg = quick_config(tasks_per_step=2, epsilon=epsilon, max_epochs=3)
+    want = train(cfg, train_set, val_set, ts, mode=mode)
+    run = Run(cfg, train_set, val_set, ts, mode)
+    records = []
+    while not run.done:
+        records.append(run.epoch())
+    assert len(records) == epochs and run.converged == (epochs < cfg.max_epochs)
+    assert all(a is b for a, b in zip(records, run.history, strict=True))
+    assert run.adam.step == run.step_index == want.adam.step
+    assert (run.converged, len(run.history)) == (want.converged, len(want.history))
+    for key in PARAM_KEYS:
+        for got, expected in ((run.params, want.params), (run.adam.m, want.adam.m),
+                              (run.adam.v, want.adam.v)):
+            np.testing.assert_array_equal(got[key], expected[key])
+    for got, expected in zip(run.history, want.history):
+        assert (got.epoch, got.train_loss) == (expected.epoch, expected.train_loss)
+        for name in ("val_losses", "val_accuracies", "probabilities"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(expected, name))
 
 
 # ----------------------------------------------------------------- run outputs
