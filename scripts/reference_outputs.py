@@ -1,7 +1,10 @@
 """Write every artifact of a fixed set of metacloud commands, to compare two trees.
 
 Runs, with the sources at --src:
-- `generate`: 3 classes x 12 clouds of 96 points, seed 7;
+- `generate`: 3 classes x 12 clouds of 96 points, seed 7, into `data`, which
+  the steps below read;
+- `generate-5`: all 5 surface kinds x 4 clouds of 64 points, seed 9, into
+  `data5`, so sphere and torus clouds are compared too;
 - `train` in every mode under both task grids (`paper`, `stratified`), seed
   11, batch 8, 3 tasks per step, 3 epochs, eta 0.001, beta 0.002, plus
   `metasets` and `static-transform` at eta 0; then `eval --out` of each
@@ -72,6 +75,8 @@ def main(argv=None):
 
     run(src, out, "generate", ["generate", "--classes", "3", "--per-class", "12",
                                 "--points", "96", "--seed", "7", "--out", "data"])
+    run(src, out, "generate-5", ["generate", "--classes", "5", "--per-class", "4",
+                                  "--points", "64", "--seed", "9", "--out", "data5"])
     for eta in ("0.001", "0"):
         (out / f"eta{eta}.cfg").write_text(f"{CONFIG}eta = {eta}\n")
     for grid in TASK_GRIDS:

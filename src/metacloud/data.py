@@ -18,9 +18,9 @@ from .geometry import (
     KIND_OCCLUSION,
     PointCloud,
     TransformSpec,
+    _normalize_stack,
     apply_transform,
     drop_count,
-    normalize_unit_ball,
 )
 
 logger = logging.getLogger(__name__)
@@ -86,45 +86,20 @@ def sample_surface(kind, count, rng):
     base disk of radius 1 at z = -1, torus with major radius 1 and minor
     radius TORUS_MINOR. Sampling is area weighted on each surface.
     """
+    return _shape_surface(kind, _draw_surface(kind, count, rng))
+
+
+def _draw_surface(kind, count, rng):
+    """One cloud's random draws for sample_surface, in its order: arrays of first axis count."""
     if kind == "sphere":
-        v = rng.standard_normal((count, 3))
-        return v / np.linalg.norm(v, axis=1, keepdims=True)
+        return (rng.standard_normal((count, 3)),)
     if kind == "cube":
-        face = rng.integers(6, size=count)
-        uv = rng.uniform(-1.0, 1.0, size=(count, 2))
-        pts = np.empty((count, 3))
-        axis = face // 2
-        sign = np.where(face % 2 == 0, 1.0, -1.0)
-        for ax in range(3):
-            mask = axis == ax
-            others = [a for a in range(3) if a != ax]
-            pts[mask, ax] = sign[mask]
-            pts[mask, others[0]] = uv[mask, 0]
-            pts[mask, others[1]] = uv[mask, 1]
-        return pts
-    if kind == "cylinder":
-        # Lateral area 4*pi vs two caps of pi each.
-        lateral = rng.random(count) < 2.0 / 3.0
-        theta = rng.uniform(0.0, 2.0 * np.pi, size=count)
-        h = rng.uniform(-1.0, 1.0, size=count)
-        r = np.sqrt(rng.random(count))
-        pts = np.empty((count, 3))
-        rad = np.where(lateral, 1.0, r)
-        pts[:, 0] = rad * np.cos(theta)
-        pts[:, 1] = rad * np.sin(theta)
-        pts[:, 2] = np.where(lateral, h, np.where(h >= 0.0, 1.0, -1.0))
-        return pts
-    if kind == "cone":
-        # Lateral area pi*sqrt(5) vs base disk pi.
-        slant = np.sqrt(5.0)
-        lateral = rng.random(count) < slant / (slant + 1.0)
-        theta = rng.uniform(0.0, 2.0 * np.pi, size=count)
-        t = np.sqrt(rng.random(count))  # radius fraction, density grows with t
-        pts = np.empty((count, 3))
-        pts[:, 0] = t * np.cos(theta)
-        pts[:, 1] = t * np.sin(theta)
-        pts[:, 2] = np.where(lateral, 1.0 - 2.0 * t, -1.0)
-        return pts
+        return rng.integers(6, size=count), rng.uniform(-1.0, 1.0, size=(count, 2))
+    if kind in ("cylinder", "cone"):
+        side, theta = rng.random(count), rng.uniform(0.0, 2.0 * np.pi, size=count)
+        if kind == "cylinder":
+            return side, theta, rng.uniform(-1.0, 1.0, size=count), rng.random(count)
+        return side, theta, rng.random(count)
     if kind == "torus":
         theta = rng.uniform(0.0, 2.0 * np.pi, size=count)
         phi = np.empty(count)
@@ -136,17 +111,42 @@ def sample_surface(kind, count, rng):
             picked = cand[accept][: count - filled]
             phi[filled : filled + len(picked)] = picked
             filled += len(picked)
-        ring = 1.0 + TORUS_MINOR * np.cos(phi)
-        return np.stack(
-            (ring * np.cos(theta), ring * np.sin(theta), TORUS_MINOR * np.sin(phi)),
-            axis=1,
-        )
+        return theta, phi
     raise ValueError(f"unknown surface kind {kind!r}")
 
 
-def _yaw_matrix(angle):
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+def _shape_surface(kind, draws):
+    """Points on kind's surface from _draw_surface's arrays, stacked under any leading axes."""
+    if kind == "sphere":
+        return draws[0] / np.linalg.norm(draws[0], axis=-1, keepdims=True)
+    if kind == "cube":
+        # Face f lies on axis f // 2, at +1 for even f and -1 for odd f;
+        # uv fills the other two axes in increasing order.
+        face, uv = draws
+        axis = face // 2
+        sign = np.where(face % 2 == 0, 1.0, -1.0)
+        u, v = uv[..., 0], uv[..., 1]
+        x = np.where(axis == 0, sign, u)
+        y = np.where(axis == 1, sign, np.where(axis == 0, u, v))
+        return np.stack((x, y, np.where(axis == 2, sign, v)), axis=-1)
+    if kind == "cylinder":
+        # Lateral area 4*pi vs two caps of pi each.
+        side, theta, h, r = draws
+        lateral = side < 2.0 / 3.0
+        rad = np.where(lateral, 1.0, np.sqrt(r))
+        z = np.where(lateral, h, np.where(h >= 0.0, 1.0, -1.0))
+        return np.stack((rad * np.cos(theta), rad * np.sin(theta), z), axis=-1)
+    if kind == "cone":
+        # Lateral area pi*sqrt(5) vs base disk pi.
+        slant = np.sqrt(5.0)
+        side, theta, t = draws
+        t = np.sqrt(t)  # radius fraction, density grows with t
+        z = np.where(side < slant / (slant + 1.0), 1.0 - 2.0 * t, -1.0)
+        return np.stack((t * np.cos(theta), t * np.sin(theta), z), axis=-1)
+    theta, phi = draws
+    ring = 1.0 + TORUS_MINOR * np.cos(phi)
+    x, y = ring * np.cos(theta), ring * np.sin(theta)
+    return np.stack((x, y, TORUS_MINOR * np.sin(phi)), axis=-1)
 
 
 def generate_synthetic_dataset(families, per_class, seed):
@@ -154,7 +154,9 @@ def generate_synthetic_dataset(families, per_class, seed):
 
     Labels follow the order of `families`; instances are drawn class major,
     instance minor, so a given (families, per_class, seed) triple always
-    yields the identical dataset.
+    yields the identical dataset. Each cloud takes its draws in turn (its
+    surface, then aspect, scale and yaw); a family's clouds are then shaped,
+    jittered, rotated and normalized as one (per_class, points, 3) stack.
     """
     if not families:
         raise ValueError("need at least one shape family")
@@ -166,13 +168,22 @@ def generate_synthetic_dataset(families, per_class, seed):
     rng = np.random.default_rng(seed)
     items = []
     for label, fam in enumerate(families):
+        draws, aspect, scale, yaw = [], [], [], []
         for _ in range(per_class):
-            pts = sample_surface(fam.name, fam.points, rng)
-            aspect = rng.uniform(ASPECT_JITTER[0], ASPECT_JITTER[1], size=3)
-            scale = rng.uniform(SCALE_JITTER[0], SCALE_JITTER[1])
-            yaw = rng.uniform(0.0, 2.0 * np.pi)
-            pts = (pts * aspect * scale) @ _yaw_matrix(yaw).T
-            items.append(PointCloud(normalize_unit_ball(pts), label))
+            draws.append(_draw_surface(fam.name, fam.points, rng))
+            aspect.append(rng.uniform(ASPECT_JITTER[0], ASPECT_JITTER[1], size=3))
+            scale.append(rng.uniform(SCALE_JITTER[0], SCALE_JITTER[1]))
+            yaw.append(rng.uniform(0.0, 2.0 * np.pi))
+        pts = _shape_surface(fam.name, [np.stack(arrays) for arrays in zip(*draws)])
+        pts = pts * np.stack(aspect)[:, None, :] * np.array(scale)[:, None, None]
+        # Each cloud's yaw rotation about z, applied to row vectors.
+        c, s = np.cos(yaw), np.sin(yaw)
+        rot = np.zeros((per_class, 3, 3))
+        rot[:, 0, 0] = rot[:, 1, 1] = c
+        rot[:, 0, 1], rot[:, 1, 0] = -s, s
+        rot[:, 2, 2] = 1.0
+        stack = _normalize_stack(pts @ rot.transpose(0, 2, 1))
+        items.extend(PointCloud(cloud.copy(), label) for cloud in stack)
     return Dataset(items=items, class_names=names)
 
 

@@ -55,12 +55,16 @@ def normalize_unit_ball(points):
     Raises:
         DegenerateCloudError: empty cloud or all points coincide.
     """
-    points = _check_points(points)
-    centered = points - points.mean(axis=0)
-    scale = np.linalg.norm(centered, axis=1).max()
-    if scale < 1e-12:
+    return _normalize_stack(_check_points(points)[None])[0]
+
+
+def _normalize_stack(stack):
+    """normalize_unit_ball of each cloud of a (clouds, n, 3) stack, n >= 1, in one pass."""
+    centered = stack - stack.mean(axis=1, keepdims=True)
+    scale = np.linalg.norm(centered, axis=2).max(axis=1)
+    if (scale < 1e-12).any():
         raise DegenerateCloudError("cloud has no spatial extent")
-    return centered / scale
+    return centered / scale[:, None, None]
 
 
 def random_unit_vector(rng):

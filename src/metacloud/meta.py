@@ -190,11 +190,11 @@ def meta_validate(params, task_set, clouds, labels, rng):
     return network.evaluate_tasks(params, clouds, task_rows, labels)
 
 
-def _check_losses(result, epoch, step):
-    """Raise ValueError at the first task whose loss, before or after its inner step, is not finite.
+def _check_step(result, epoch, step):
+    """Raise ValueError at the first non-finite task loss or summed outer gradient.
 
-    The message names the epoch, the step within it (both from 1) and the
-    task (its 1-based place in the task set, or "raw" for the source batch).
+    The message names the epoch and step (both from 1) and the task (its
+    1-based place in the task set, or "raw" for the source batch) or the parameter.
     """
     pairs = zip(result.task_indices, result.task_losses.tolist(), result.adapted_losses.tolist())
     for t, before, after in pairs:
@@ -204,6 +204,9 @@ def _check_losses(result, epoch, step):
                 f"epoch {epoch}, step {step}, task {task}: training loss is {before!r}"
                 f" before and {after!r} after the inner step"
             )
+    bad = [key for key in network.PARAM_KEYS if not np.isfinite(result.grads[key]).all()]
+    if bad:
+        raise ValueError(f"epoch {epoch}, step {step}: outer gradient of {bad[0]} is not finite")
 
 
 def _draw_one_uniform(probabilities, k, rng):
@@ -313,8 +316,9 @@ class Run:
         """Run one epoch's outer steps and its validation; return the epoch's EpochRecord.
 
         step_callback(step_index, params), when given, runs after every outer
-        update. A task loss that is not finite stops the epoch before its
-        update with a ValueError naming the epoch, the step and the task.
+        update. A task loss or an outer gradient that is not finite stops the
+        epoch before its update with a ValueError naming the epoch, the step
+        and the task or the parameter.
         """
         config, streams, epoch = self.config, self.streams, len(self.history) + 1
         train_clouds, train_labels = self.train_set.points_and_labels()
@@ -329,7 +333,7 @@ class Run:
             else:
                 task_rows = [[self.train_cache[t][i] for i in batch] for t in indices]
             result = _meta_step(self.params, clouds, labels, indices, task_rows, self.eta)
-            _check_losses(result, epoch, step)
+            _check_step(result, epoch, step)
             self.adam, self.params = network.adam_step(
                 self.adam, self.params, result.grads, config.beta
             )

@@ -411,6 +411,23 @@ def test_train_prints_each_epoch_line_as_the_epoch_ends(bench_dir, tmp_path, cap
     assert not out.exists()
 
 
+def test_train_stops_on_non_finite_gradient(bench_dir, tmp_path, capsys, monkeypatch):
+    """A nan outer gradient under finite losses exits 4 naming epoch, step and parameter."""
+    real_step = meta._meta_step
+
+    def nan_gradient(*args):
+        result = real_step(*args)
+        result.grads["b5"] = np.full_like(result.grads["b5"], np.nan)
+        return result
+
+    monkeypatch.setattr(meta, "_meta_step", nan_gradient)
+    out = tmp_path / "r"
+    code = run_cli(["train", "--manifest", str(bench_dir), "--seed", "0", "--out", str(out)])
+    assert code == 4
+    assert "error: epoch 1, step 1: outer gradient of b5 is not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_reports_accuracy(trained_dir, bench_dir, tmp_path, capsys):
     report = tmp_path / "report.json"
     code = run_cli(

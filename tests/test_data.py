@@ -1,13 +1,16 @@
 """Unit tests for the synthetic benchmark, splits, and the file formats."""
 
+import hashlib
 import logging
 
 import numpy as np
 import pytest
 
 from metacloud.data import (
+    ASPECT_JITTER,
     Dataset,
     DatasetFormatError,
+    SCALE_JITTER,
     ShapeFamily,
     TORUS_MINOR,
     build_target_domain,
@@ -20,7 +23,7 @@ from metacloud.data import (
     save_dataset,
     split_train_val,
 )
-from metacloud.geometry import PointCloud, TransformSpec, apply_transform
+from metacloud.geometry import PointCloud, TransformSpec, apply_transform, normalize_unit_ball
 
 
 # ------------------------------------------------------------------- families
@@ -115,6 +118,49 @@ def test_generate_dataset_layout_and_determinism():
         np.testing.assert_array_equal(x.points, y.points)
     c = generate_synthetic_dataset(fams, per_class=3, seed=12)
     assert any((x.points != y.points).any() for x, y in zip(a.items, c.items))
+
+
+def test_generate_dataset_bits_are_pinned():
+    """The generator's exact output, so a reordered draw or changed rounding shows.
+
+    Each cloud also owns its own array: no item shares memory with another.
+    """
+    ds = generate_synthetic_dataset(default_families(points=64), per_class=3, seed=11)
+    digest = hashlib.sha256(
+        b"".join(item.points.tobytes() + bytes([item.label]) for item in ds.items)
+    ).hexdigest()
+    assert digest == "27c43de9184ed541393f2e34d5f8d6b43a1b7618ef018d886e7723e83608badf"
+    for i, a in enumerate(ds.items):
+        assert a.points.base is None
+        for b in ds.items[i + 1 :]:
+            assert not np.shares_memory(a.points, b.points)
+
+
+def per_cloud_dataset(families, per_class, seed):
+    """The generator as a loop over clouds, each sampled, jittered, rotated and normalized alone."""
+    rng = np.random.default_rng(seed)
+    items = []
+    for label, fam in enumerate(families):
+        for _ in range(per_class):
+            pts = sample_surface(fam.name, fam.points, rng)
+            aspect = rng.uniform(ASPECT_JITTER[0], ASPECT_JITTER[1], size=3)
+            scale = rng.uniform(SCALE_JITTER[0], SCALE_JITTER[1])
+            yaw = rng.uniform(0.0, 2.0 * np.pi)
+            c, s = np.cos(yaw), np.sin(yaw)
+            rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+            items.append(PointCloud(normalize_unit_ball((pts * aspect * scale) @ rot.T), label))
+    return items
+
+
+@pytest.mark.parametrize("points, per_class, seed", [(64, 5, 2), (97, 3, 8), (1024, 2, 13)])
+def test_generate_dataset_equals_per_cloud_loop(points, per_class, seed):
+    """Shaping a family as one stack gives each cloud the bits it gets alone, in the same draw order."""
+    fams = default_families(points=points)
+    got = generate_synthetic_dataset(fams, per_class, seed).items
+    want = per_cloud_dataset(fams, per_class, seed)
+    assert [item.label for item in got] == [item.label for item in want]
+    for a, b in zip(got, want, strict=True):
+        assert a.points.tobytes() == b.points.tobytes()
 
 
 def test_generate_dataset_normalized_and_sized():

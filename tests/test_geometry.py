@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from metacloud.geometry import (
     DegenerateCloudError,
     TransformSpec,
+    _normalize_stack,
     apply_transform,
     density_rows,
     drop_count,
@@ -64,6 +65,18 @@ def test_normalize_rejects_degenerate():
         normalize_unit_ball(np.ones((5, 3)))
     with pytest.raises(ValueError):
         normalize_unit_ball(np.zeros((4, 2)))
+
+
+def test_normalize_stack_is_normalize_per_cloud():
+    """A stack normalized in one pass gives each cloud's own bits; any coincident cloud raises."""
+    rng = np.random.default_rng(5)
+    stack = rng.standard_normal((7, 33, 3)) * rng.uniform(0.1, 10.0, size=(7, 1, 3))
+    out = _normalize_stack(stack)
+    for cloud, got in zip(stack, out):
+        assert got.tobytes() == normalize_unit_ball(cloud).tobytes()
+    stack[4] = 2.5
+    with pytest.raises(DegenerateCloudError):
+        _normalize_stack(stack)
 
 
 def test_random_unit_vector_uniform():

@@ -531,6 +531,30 @@ def test_train_stops_at_first_non_finite_loss(mode):
     assert all(steps)
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_epoch_stops_at_non_finite_gradient_before_the_update(monkeypatch, mode):
+    """Finite losses with a nan gradient raise naming epoch, step and parameter; no update runs."""
+    real_step, results, updated = meta._meta_step, [], []
+
+    def nan_w3_gradient_at_step_2(*args):
+        result = real_step(*args)
+        results.append(result)
+        if len(results) == 2:
+            result.grads["w3"].flat[5] = np.nan
+        return result
+
+    monkeypatch.setattr(meta, "_meta_step", nan_w3_gradient_at_step_2)
+    ds = toy_dataset(46)
+    run = Run(quick_config(batch_size=4, tasks_per_step=2), ds, ds, build_task_set("paper"), mode)
+    with pytest.raises(ValueError, match=r"^epoch 1, step 2: outer gradient of w3 is not finite$"):
+        run.epoch(step_callback=lambda i, p: updated.append({k: v.copy() for k, v in p.items()}))
+    for result in results:
+        assert np.isfinite(result.task_losses).all() and np.isfinite(result.adapted_losses).all()
+    assert run.step_index == run.adam.step == len(updated) == 1
+    for key in PARAM_KEYS:
+        np.testing.assert_array_equal(run.params[key], updated[0][key])
+
+
 @pytest.mark.parametrize(
     "mode, eta, per_step",
     [

@@ -6,6 +6,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metacloud import network
 from metacloud.network import (
@@ -88,21 +90,36 @@ def test_forward_matches_independent_implementation():
     np.testing.assert_allclose(logits_batch(params, clouds[:1])[0], want[0], atol=1e-12)
 
 
-def test_forward_invariant_to_point_order():
-    params, clouds, _ = tiny_batch(2)
-    rng = np.random.default_rng(3)
+def random_clouds(sizes, seed, classes):
+    """Fresh parameters for classes and one standard-normal cloud per size, from seed."""
+    rng = np.random.default_rng(seed)
+    return rng, init_params(classes, rng), [rng.standard_normal((n, 3)) for n in sizes]
+
+
+CLOUD_SIZES = st.lists(st.integers(1, 299), min_size=1, max_size=11)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(classes=st.integers(2, 6), seed=st.integers(0, 2**32 - 1), sizes=CLOUD_SIZES)
+def test_forward_invariant_to_point_order(classes, seed, sizes):
+    """Shuffling each cloud's rows leaves every logit bit-equal."""
+    rng, params, clouds = random_clouds(sizes, seed, classes)
     shuffled = [c[rng.permutation(len(c))] for c in clouds]
-    np.testing.assert_array_equal(
-        logits_batch(params, clouds), logits_batch(params, shuffled)
-    )
+    np.testing.assert_array_equal(logits_batch(params, clouds), logits_batch(params, shuffled))
 
 
-def test_forward_invariant_to_point_duplication():
-    params, clouds, _ = tiny_batch(4)
-    doubled = [np.concatenate([c, c[:3]]) for c in clouds]
-    np.testing.assert_allclose(
-        logits_batch(params, clouds), logits_batch(params, doubled), atol=1e-12
-    )
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(
+    classes=st.integers(2, 6),
+    seed=st.integers(0, 2**32 - 1),
+    sizes=CLOUD_SIZES,
+    extra=st.integers(1, 40),
+)
+def test_forward_invariant_to_point_duplication(classes, seed, sizes, extra):
+    """Appending copies of a cloud's own points leaves every logit bit-equal."""
+    rng, params, clouds = random_clouds(sizes, seed, classes)
+    doubled = [np.concatenate([c, c[rng.integers(len(c), size=extra)]]) for c in clouds]
+    np.testing.assert_array_equal(logits_batch(params, clouds), logits_batch(params, doubled))
 
 
 def assert_maximal_packs(packs, sizes, bound):
