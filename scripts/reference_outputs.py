@@ -12,7 +12,10 @@ Runs, with the sources at --src:
   of every `network.logits_batch` entry on that set, whose last bits the
   loss and accuracies of `eval` can hide;
 - one `transform` of each kind (`--g 1.4`, `--x 36`, `--w 0.05`, seed 3)
-  over all generated clouds.
+  over all generated clouds, and `transformed/<kind>-logits.txt` beside
+  its directory: the `repr` logits of the `metasets-paper-eta0.001`
+  checkpoint on the transformed clouds, read with `data.load_cloud` in
+  sorted name order, so inference on clouds of mixed sizes is compared too.
 
 Each step runs in its own interpreter with BLAS pinned to one thread and
 the output directory as working directory, and its stdout and exit code go
@@ -33,12 +36,22 @@ MODES = ("metasets", "none", "augment", "no-soft-sampling", "static-transform")
 TASK_GRIDS = ("paper", "stratified")
 CONFIG = "batch_size = 8\ntasks_per_step = 3\nmax_epochs = 3\nbeta = 0.002\n"
 TRANSFORMS = (("density", "--g", "1.4"), ("dropping", "--x", "36"), ("occlusion", "--w", "0.05"))
-# argv: checkpoint, manifest, output file; one line of logits per cloud.
+# The run whose checkpoint scores the transformed clouds.
+CHECKPOINT_RUN = "metasets-paper-eta0.001"
+# argv: checkpoint, then a dataset directory (it holds a manifest) or a
+# directory of transformed clouds, then the output file; one line of logits
+# per cloud.
 LOGITS = """
 import sys
-from metacloud import data, network
+from pathlib import Path
+from metacloud import cli, data, network
 params = network.load_checkpoint(sys.argv[1])[0]
-clouds, _ = data.load_dataset(sys.argv[2]).points_and_labels()
+source = Path(sys.argv[2])
+if (source / data.MANIFEST_NAME).is_file():
+    clouds, _ = data.load_dataset(source).points_and_labels()
+else:
+    files = sorted(p for p in source.iterdir() if p.name != cli.PROVENANCE_NAME)
+    clouds = [data.load_cloud(p).points for p in files]
 with open(sys.argv[3], "w") as fh:
     for row in network.logits_batch(params, clouds).tolist():
         fh.write(" ".join(map(repr, row)) + "\\n")
@@ -97,6 +110,9 @@ def main(argv=None):
         run(src, out, f"transform-{kind}",
             ["transform", "--kind", kind, flag, value, "--seed", "3",
              "--out", f"transformed/{kind}", *clouds])
+        python(src, out, f"logits-transform-{kind}",
+            ["-c", LOGITS, f"runs/{CHECKPOINT_RUN}/model.ckpt", f"transformed/{kind}",
+             f"transformed/{kind}-logits.txt"])
     print(f"outputs in {out}")
     return 0
 

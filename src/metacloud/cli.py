@@ -52,8 +52,11 @@ class ConfigError(ValueError):
 
 
 def read_config(path):
-    """Parse a flat key-value config file ("key = value", # comments) of UTF-8 text."""
-    values = {}
+    """Parse a flat key-value config file ("key = value", # comments) of UTF-8 text.
+
+    Each key may appear once; a repeat names the line that first set it.
+    """
+    values, first = {}, {}
     for lineno, raw in enumerate(data._read_lines(Path(path), ConfigError), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -64,6 +67,9 @@ def read_config(path):
         key, value = key.strip(), value.strip()
         if key not in CONFIG_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in first:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} already set on line {first[key]}")
+        first[key] = lineno
         try:
             values[key] = CONFIG_TYPES[key](value)
         except ValueError:
@@ -111,6 +117,14 @@ def cmd_transform(args, parser):
         if name != flag and value is not None:
             parser.error(f"--{name} does not apply to --kind {args.kind}")
     spec = TransformSpec(args.kind, given[flag])
+    out = Path(args.out)
+    # Outputs are named by the input's base name; two inputs must not share one.
+    names = {}
+    for src in args.files:
+        name = Path(src).name
+        if name in names:
+            parser.error(f"{names[name]} and {src} would both be written to {out / name}")
+        names[name] = src
     rng = np.random.default_rng(args.seed)
     # Transform every file before writing any, so a bad file leaves no output.
     done = []
@@ -121,7 +135,6 @@ def cmd_transform(args, parser):
         except ValueError as exc:
             raise ValueError(f"{src}: {exc}") from None
         done.append((src, cloud, transformed))
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for src, cloud, transformed in done:
         dest = out / Path(src).name
@@ -182,7 +195,7 @@ def cmd_eval(args, parser):
     print(f"{'class':<12} {'count':>5} {'accuracy':>9}")
     for idx, name in enumerate(dataset.class_names):
         mask = labels == idx
-        acc = float((predicted[mask] == idx).mean()) if mask.any() else float("nan")
+        acc = float((predicted[mask] == idx).mean())
         per_class[name] = {"count": int(mask.sum()), "accuracy": acc}
         print(f"{name:<12} {int(mask.sum()):>5} {acc:>9.4f}")
     accuracy = float((predicted == labels).mean())

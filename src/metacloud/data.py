@@ -217,17 +217,13 @@ def split_train_val(dataset, seed):
             val_share[label] = n_c // 6
     target = int(np.floor(total * VAL_FRACTION + 0.5))
     deficit = target - sum(val_share.values())
-    if deficit > 0:
-        remainders = sorted(
-            (label for label in buckets if counts[label] >= 6),
-            key=lambda lb: (-(counts[lb] * VAL_FRACTION - val_share[lb]), lb),
-        )
-        for label in remainders:
-            if deficit == 0:
-                break
-            if val_share[label] + 1 < counts[label]:
-                val_share[label] += 1
-                deficit -= 1
+    remainders = sorted(
+        (label for label in buckets if counts[label] >= 6),
+        key=lambda lb: (-(counts[lb] * VAL_FRACTION - val_share[lb]), lb),
+    )
+    # A class of n >= 6 items has n // 6 + 1 < n, so it always has room for one more.
+    for label in remainders[: max(deficit, 0)]:
+        val_share[label] += 1
 
     rng = np.random.default_rng(seed)
     train_idx, val_idx = [], []

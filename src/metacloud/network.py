@@ -6,14 +6,14 @@ coordinate-wise max pooling over the points of each cloud, then a head
 max pool routes each feature's gradient to the lowest-index point attaining
 the maximum. No normalization layers, no dropout, no input alignment.
 
-Clouds go through the network packed into one (total, 3) block. Bias adds,
-ReLUs and ReLU masks run in place on the matmul results, with the same
-arithmetic as fresh arrays would get.
+Training packs its clouds into one (total, 3) block. Bias adds, ReLUs and
+ReLU masks run in place on the matmul results, with the same arithmetic as
+fresh arrays would get.
 
-Each row of a per-point layer gets the same bits in any pack (seen with
+Each row of a per-point layer gets the same bits in any product (seen with
 OpenBLAS): a product of two or more rows computes every row alike, and a
 lone point goes through as two rows, since numpy would send one row down
-the matrix-vector path. The head's rows do depend on the pack: with fewer
+the matrix-vector path. A head row does depend on its product: with fewer
 than four classes the last rows of its last product round differently, so
 training and inference both run the head once per call, on all its rows.
 
@@ -30,14 +30,12 @@ cover fewer rows in another order than a dense backward would, so the
 gradients agree with it to rounding, not bit for bit; the same inputs still
 give the same bits.
 
-Inference has one path, the scorer of row subsets behind evaluate_tasks
-(the per-task validation). It runs the per-point layers once over the
-clean clouds, in packs of whole clouds up to EVAL_POINTS rows or of one
-larger cloud, keeps only their last layer and pools each subset from its
-cloud's rows. Plain logits (logits_batch, evaluate, loss_batch) are its
-one-task case: each subset is a whole cloud, pooled with no gather. One
-clean pack's per-point features live at a time, but every cloud's and
-task's pooled features (256 floats each) wait for the head.
+Inference has one path and no pack. The scorer of row subsets behind
+evaluate_tasks runs the per-point layers one clean cloud at a time, pools
+each task's rows of that cloud and frees its features before the next
+cloud's. Plain logits (logits_batch, evaluate, loss_batch) are the
+one-task case: each subset is a whole cloud, pooled with no gather. The
+pooled features of every cloud and task (256 floats each) wait for the head.
 """
 
 import json
@@ -55,10 +53,6 @@ CHECKPOINT_VERSION = 1
 
 # Adam's decay rates and denominator guard; a checkpoint header records them.
 ADAM_SETTINGS = {"beta1": 0.9, "beta2": 0.999, "eps": 1e-8}
-
-# Most rows one packed inference pass takes; a larger cloud goes through
-# alone. At 1024 rows one pass's activations take about 3.5 MB.
-EVAL_POINTS = 1024
 
 
 def param_shapes(class_count):
@@ -139,17 +133,6 @@ def _head(params, pooled):
     logits = h4 @ params["w5"]
     logits += params["b5"]
     return h4, logits
-
-
-def _eval_packs(sizes):
-    """(lo, hi) ranges of whole clouds, each within EVAL_POINTS rows or one cloud."""
-    lo, rows = 0, 0
-    for i, size in enumerate(sizes):
-        if i > lo and rows + size > EVAL_POINTS:
-            yield lo, i
-            lo, rows = i, 0
-        rows += size
-    yield lo, len(sizes)
 
 
 def logits_batch(params, clouds):
@@ -255,35 +238,24 @@ def _score(logits, labels):
     return float(loss), float((logits.argmax(axis=1) == labels).mean())
 
 
-def _pool_subsets(params, clouds, task_rows, out):
-    """Write the max pool of every task's rows of every cloud into out[t, i].
-
-    The per-point features of the clouds are computed once and live only
-    inside this call, so one pack's are freed before the next pack's exist.
-    """
-    pts, starts, _ = _pack(clouds)
-    segments = np.split(_point_features(params, pts), starts[1:])
-    for task_out, rows in zip(out, task_rows):
-        for pooled, seg, kept in zip(task_out, segments, rows):
-            # Rows are strictly increasing, so as many rows as the cloud has are all of it.
-            (seg if len(kept) == len(seg) else seg[kept]).max(axis=0, out=pooled)
-
-
 def _task_logits(params, clouds, task_rows):
     """Logits of every task's row subsets of the clouds, one (clouds, C) array per task.
 
     Array t holds the logits of the clouds [c[r] for c, r in zip(clouds,
-    task_rows[t])], but the per-point layers run once, on the clean clouds:
-    a point's features do not depend on the other points, so a subset's
-    features are rows of the clean features, and its max pool is the
-    maximum over those rows. Every task's pooled rows are held beside one
-    clean pack's features. The head runs once per task on all its rows, as
-    loss_and_grad runs it on its batch.
+    task_rows[t])]. A point's features do not depend on the other points, so
+    the per-point layers run once per clean cloud, and a subset's max pool
+    is the maximum over its rows of them. The head runs once per task on
+    all its rows, as loss_and_grad runs it on its batch.
     """
     pooled = np.empty((len(task_rows), len(clouds), POINT_SIZES[-1]))
-    for lo, hi in _eval_packs([len(pts) for pts in clouds]):
-        rows = [task[lo:hi] for task in task_rows]
-        _pool_subsets(params, clouds[lo:hi], rows, pooled[:, lo:hi])
+    for i, pts in enumerate(clouds):
+        if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] == 0:
+            raise ValueError(f"bad cloud shape {pts.shape}")
+        feats = _point_features(params, pts.astype(np.float64, copy=False))
+        for out, kept in zip(pooled[:, i], [task[i] for task in task_rows]):
+            # Rows are strictly increasing, so as many rows as the cloud has are all of it.
+            (feats if len(kept) == len(feats) else feats[kept]).max(axis=0, out=out)
+        del feats  # before the next cloud's features exist
     return [_head(params, task_pooled)[1] for task_pooled in pooled]
 
 

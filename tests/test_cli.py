@@ -208,6 +208,19 @@ def test_transform_file_errors(tmp_path, capsys):
     assert f"error: {utf16}:1: not UTF-8" in capsys.readouterr().err
 
 
+def test_transform_rejects_inputs_sharing_a_base_name(cloud_file, tmp_path, capsys):
+    """Two inputs that would write one output file are a usage error; nothing is written."""
+    other = tmp_path / "b" / cloud_file.name
+    other.parent.mkdir()
+    other.write_bytes(cloud_file.read_bytes())
+    out = tmp_path / "t"
+    assert run_cli(["transform", "--kind", "dropping", "--x", "30", "--seed", "2",
+                    "--out", str(out), str(cloud_file), str(other)]) == 2
+    err = capsys.readouterr().err
+    assert f"{cloud_file} and {other} would both be written to {out / cloud_file.name}" in err
+    assert not out.exists()
+
+
 # --------------------------------------------------------------------- config
 
 
@@ -259,6 +272,19 @@ def test_read_config_errors_carry_line_numbers(tmp_path):
     not_utf8.write_bytes(b"seed = 3\nmode = none \xff\n")
     with pytest.raises(ConfigError, match=r"f\.cfg:2: not UTF-8 text"):
         read_config(not_utf8)
+
+
+def test_read_config_rejects_a_repeated_key(tmp_path, bench_dir, capsys):
+    """A key set twice is a parse error at the repeat, naming the first line."""
+    cfg = tmp_path / "a.cfg"
+    cfg.write_text("max_epochs = 1\n# again\nmax_epochs = 2\n")
+    with pytest.raises(ConfigError, match=r"a\.cfg:3: key 'max_epochs' already set on line 1$"):
+        read_config(cfg)
+    out = tmp_path / "run"
+    assert run_cli(["train", "--manifest", str(bench_dir), "--config", str(cfg),
+                    "--seed", "0", "--out", str(out)]) == 3
+    assert f"error: {cfg}:3: key 'max_epochs' already set on line 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_read_config_lines_end_at_newline_only(tmp_path):

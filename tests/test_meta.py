@@ -28,7 +28,6 @@ from metacloud.meta import (
     write_summary,
 )
 from metacloud.network import (
-    EVAL_POINTS,
     PARAM_KEYS,
     adam_step,
     evaluate,
@@ -325,12 +324,12 @@ def test_meta_validate_identity_equals_plain_evaluate():
 def test_meta_validate_equals_corrupt_then_evaluate():
     """Scoring rows of the clean clouds gives the bits of scoring corrupted copies.
 
-    Mixed sizes whose clean rows cross EVAL_POINTS, one cloud larger than
-    EVAL_POINTS, an identity task and a task that leaves one point per cloud.
+    Mixed sizes totalling more than 2,048 clean rows, one cloud of 1,124
+    points, an identity task and a task that leaves one point per cloud.
     """
     rng = np.random.default_rng(40)
     sizes = [int(n) for n in rng.integers(2, 200, size=30)]
-    sizes.insert(7, EVAL_POINTS + 100)
+    sizes.insert(7, 1124)
     clouds = [normalize_unit_ball(rng.standard_normal((n, 3))) for n in sizes]
     labels = rng.integers(0, 3, size=len(clouds))
     specs = [
@@ -341,7 +340,7 @@ def test_meta_validate_equals_corrupt_then_evaluate():
         TransformSpec("occlusion", 10.0),
     ]
     ts = TaskSet(specs)
-    assert sum(sizes) > 2 * EVAL_POINTS
+    assert sum(sizes) > 2048
     for seed in (41, 42):
         params = init_params(3, np.random.default_rng(seed))
         losses, accs = meta_validate(params, ts, clouds, labels, np.random.default_rng(seed))

@@ -3,6 +3,7 @@
 import json
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 
 from metacloud import network
 from metacloud.network import (
-    EVAL_POINTS,
     PARAM_KEYS,
     AdamState,
     adam_step,
@@ -122,23 +122,13 @@ def test_forward_invariant_to_point_duplication(classes, seed, sizes, extra):
     np.testing.assert_array_equal(logits_batch(params, clouds), logits_batch(params, doubled))
 
 
-def assert_maximal_packs(packs, sizes, bound):
-    """packs (lists of cloud sizes) cover sizes in order, each within bound rows or one cloud, each maximal."""
-    assert [n for pack in packs for n in pack] == list(sizes)
-    for pack, following in zip(packs, packs[1:] + [None]):
-        assert sum(pack) <= bound or len(pack) == 1
-        if following is not None:
-            assert sum(pack) + following[0] > bound
-
-
 def test_forward_chunking_transparent(monkeypatch):
-    """Batches larger than the eval bound produce the same logits.
+    """Inference runs the per-point layers cloud by cloud and gives the same logits.
 
-    The clean pass takes whole clouds until the next one would pass
-    EVAL_POINTS rows; a larger cloud goes alone. The head runs once, on
-    every cloud of the call. Different packing widths reorder BLAS
-    accumulation, so cross-chunking equality is to rounding only; the same
-    call is bit-repeatable.
+    Each call of the per-point layers sees one whole cloud, in order, and
+    the head runs once, on every cloud of the call. Splitting the call
+    reorders the head's accumulation, so cross-call equality is to rounding
+    only; the same call is bit-repeatable.
     """
     rng = np.random.default_rng(5)
     params = init_params(3, rng)
@@ -149,26 +139,42 @@ def test_forward_chunking_transparent(monkeypatch):
     np.testing.assert_array_equal(got, logits_batch(params, clouds))
 
     mixed = [rng.standard_normal((int(n), 3)) for n in rng.integers(1, 1500, size=12)]
-    mixed.insert(5, rng.standard_normal((EVAL_POINTS + 100, 3)))
-    clean, heads = [], []
-    pack, head = network._pack, network._head
+    mixed.insert(5, rng.standard_normal((1124, 3)))
+    mixed.insert(8, rng.standard_normal((1, 3)))
+    seen, heads = [], []
+    features, head = network._point_features, network._head
 
-    def record_pack(clouds):
-        clean.append([len(pts) for pts in clouds])
-        return pack(clouds)
+    def record_features(params, pts):
+        seen.append(pts.copy())
+        return features(params, pts)
 
     def record_head(params, pooled):
         heads.append(len(pooled))
         return head(params, pooled)
 
-    monkeypatch.setattr(network, "_pack", record_pack)
+    monkeypatch.setattr(network, "_point_features", record_features)
     monkeypatch.setattr(network, "_head", record_head)
     got = logits_batch(params, mixed)
     want = np.stack([mini_logits(params, c) for c in mixed])
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-    assert_maximal_packs(clean, [len(c) for c in mixed], EVAL_POINTS)
-    assert max(len(p) for p in clean) > 1 and len(clean) > 2
+    assert len(seen) == len(mixed)
+    for pts, cloud in zip(seen, mixed):
+        np.testing.assert_array_equal(pts, cloud)
     assert heads == [len(mixed)]
+
+
+def test_inference_rejects_bad_cloud_shapes():
+    """Every inference entry point checks each cloud's shape, as training does."""
+    params, clouds, labels = tiny_batch(9)
+    for bad in (np.zeros((0, 3)), np.zeros((4, 2)), np.zeros(3)):
+        broken = clouds[:2] + [bad] + clouds[3:]
+        message = re.escape(f"bad cloud shape {bad.shape}")
+        with pytest.raises(ValueError, match=message):
+            loss_and_grad(params, broken, labels)
+        with pytest.raises(ValueError, match=message):
+            logits_batch(params, broken)
+        with pytest.raises(ValueError, match=message):
+            evaluate_tasks(params, broken, [[np.arange(len(c)) for c in clouds]], labels)
 
 
 def test_logits_are_one_head_product_over_every_cloud():
@@ -176,15 +182,15 @@ def test_logits_are_one_head_product_over_every_cloud():
 
     With three classes the head's last product rounds its last rows by
     their place in the product, so any split of the head into packs shows
-    in the bits. The clouds total more than two clean packs of rows; every
-    cloud has two or more points, so the oracle's per-cloud features have
-    the packed bits.
+    in the bits. The clouds total more than 2,048 rows; every cloud has two
+    or more points, so the oracle's per-cloud features have the bits of
+    any product.
     """
     rng = np.random.default_rng(50)
     params = init_params(3, rng)
     clouds = [rng.standard_normal((int(n), 3)) for n in rng.integers(50, 401, size=30)]
     labels = rng.integers(0, 3, size=len(clouds))
-    assert sum(len(c) for c in clouds) > 2 * EVAL_POINTS
+    assert sum(len(c) for c in clouds) > 2048
     pooled = np.stack([point_features(params, c).max(axis=0) for c in clouds])
     want = network._head(params, pooled)[1]
     assert logits_batch(params, clouds).tobytes() == want.tobytes()
@@ -238,14 +244,14 @@ def test_ragged_pool_matches_per_cloud_reference(monkeypatch):
 def test_evaluate_tasks_equals_evaluate_on_subsets():
     """Each task's logits and score are evaluate's on the row subsets, bit for bit.
 
-    The clouds' sizes make the clean packing awkward: a one-point cloud
-    among others, and clouds of EVAL_POINTS rows and more, which go alone.
+    The clouds' sizes are awkward: a one-point cloud among others, and
+    clouds of 1,024 rows and more.
     Tasks keep whole clouds, one row per cloud, a third of each cloud, and
     whole clouds but one row of the 40-point cloud.
     """
     rng = np.random.default_rng(32)
     params = init_params(3, rng)
-    sizes = [5, 300, EVAL_POINTS + 10, 1, EVAL_POINTS, 40, EVAL_POINTS, 2, 7, 3]
+    sizes = [5, 300, 1034, 1, 1024, 40, 1024, 2, 7, 3]
     clouds = [rng.standard_normal((n, 3)) for n in sizes]
     labels = rng.integers(0, 3, size=len(clouds))
     everything = [np.arange(n) for n in sizes]
@@ -263,6 +269,29 @@ def test_evaluate_tasks_equals_evaluate_on_subsets():
         np.testing.assert_array_equal(logits[t], logits_batch(params, subsets))
         loss, acc = evaluate(params, subsets, labels)
         assert losses[t] == loss and accs[t] == acc, t
+
+
+def test_evaluate_tasks_holds_one_clouds_features_at_a_time():
+    """Inference's traced peak is one cloud's per-point layers, not many clouds'.
+
+    The bound is one cloud's three per-point layers, plus every task's and
+    cloud's pooled features, plus 256 KB for the rest of the call.
+    """
+    rng = np.random.default_rng(60)
+    params = init_params(3, rng)
+    clouds = [rng.standard_normal((200, 3)) for _ in range(40)]
+    labels = rng.integers(0, 3, size=len(clouds))
+    task_rows = [[np.arange(200)] * len(clouds), [np.arange(0, 200, 2)] * len(clouds)]
+    layers = 200 * sum(network.POINT_SIZES[1:]) * 8
+    pooled = len(task_rows) * len(clouds) * network.POINT_SIZES[-1] * 8
+    evaluate_tasks(params, clouds, task_rows, labels)
+    tracemalloc.start()
+    try:
+        evaluate_tasks(params, clouds, task_rows, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < layers + pooled + 256 * 1024
 
 
 def test_label_count_must_match_cloud_count():
