@@ -5,7 +5,10 @@ the tree that goes first switches every pair, so a drift of the host's
 speed falls on both sides alike. Every metric of the runs' summary lines
 (`workload.metric`) gets, per side, the median and the first and third
 quartiles, and the number of pairs in which the change read lower and
-higher than the parent:
+higher than the parent (a tie counts for neither). `meets_lower_rule` says
+whether a metric where lower is better shows a gain: the change read lower
+in at least 9 of every 10 pairs, and its median is below the parent's by
+more than the parent's interquartile range (q3 - q1):
 
     python3 scripts/bench_pairs.py --parent OLD --change . --pairs 10 --out BENCH_N.json
     python3 scripts/bench_pairs.py --parent OLD --change . --pairs 3 --trace 1 --out traced.json
@@ -45,7 +48,10 @@ def spread(values):
 
 
 def summarise(runs):
-    """Per metric: each side's spread and how many pairs the change read lower or higher."""
+    """Per metric: each side's spread, how many pairs the change read lower or higher, the rule.
+
+    A metric is skipped in a pair that lacks it on either side.
+    """
     names = sorted(set().union(*(run[side]["metrics"] for run in runs for side in SIDES)))
     out = {}
     for name in names:
@@ -53,13 +59,17 @@ def summarise(runs):
         if not both:
             continue
         parent, change = ([run[side]["metrics"][name]["value"] for run in both] for side in SIDES)
+        before, after = spread(parent), spread(change)
+        lower = sum(c < p for p, c in zip(parent, change))
         out[name] = {
             "unit": both[0]["parent"]["metrics"][name]["unit"],
-            "parent": spread(parent),
-            "change": spread(change),
+            "parent": before,
+            "change": after,
             "pairs": len(both),
-            "change_lower": sum(c < p for p, c in zip(parent, change)),
+            "change_lower": lower,
             "change_higher": sum(c > p for p, c in zip(parent, change)),
+            "meets_lower_rule": 10 * lower >= 9 * len(both)
+            and before["median"] - after["median"] > before["q3"] - before["q1"],
         }
     return out
 
@@ -104,7 +114,8 @@ def main(argv=None):
         p, c = entry["parent"], entry["change"]
         print(f"{name:<40} {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}] -> "
               f"{c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}] {entry['unit']}, "
-              f"lower in {entry['change_lower']} of {entry['pairs']}")
+              f"lower in {entry['change_lower']} of {entry['pairs']}, "
+              f"meets lower rule: {entry['meets_lower_rule']}")
     return 0 if not any(report["failed_runs"].values()) else 1
 
 

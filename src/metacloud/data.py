@@ -3,6 +3,13 @@
 The benchmark draws labeled point clouds from five parametric surface
 families. Every generated instance gets per-axis aspect jitter, an overall
 scale jitter, a uniform yaw rotation about z, and unit-ball normalization.
+
+Generation takes each run of consecutive double draws in one rng.random
+call and maps each block of it to its range as rng.uniform does, low +
+(high - low) * u. Every double takes one 64-bit output of the bit
+generator, whether drawn alone or in a larger call, so the merged calls
+read the same stream and give the same bits as one call per draw.
+
 Clouds are stored one per text file (header "n label", then n lines "x y z")
 under a directory per class, indexed by a manifest of relative paths.
 """
@@ -20,7 +27,7 @@ from .geometry import (
     TransformSpec,
     _normalize_stack,
     apply_transform,
-    drop_count,
+    can_drop,
 )
 
 logger = logging.getLogger(__name__)
@@ -86,37 +93,83 @@ def sample_surface(kind, count, rng):
     base disk of radius 1 at z = -1, torus with major radius 1 and minor
     radius TORUS_MINOR. Sampling is area weighted on each surface.
     """
-    return _shape_surface(kind, _draw_surface(kind, count, rng))
+    if kind not in SURFACE_KINDS:
+        raise ValueError(f"unknown surface kind {kind!r}")
+    return _shape_surface(kind, _draw_clouds(kind, count, rng))
 
 
-def _draw_surface(kind, count, rng):
-    """One cloud's random draws for sample_surface, in its order: arrays of first axis count."""
+# The run of doubles that ends each kind's surface draws, in stream order, as
+# (low, high, doubles per point) blocks; a cylinder or cone draws nothing
+# else. Cone: side, theta, t. Cube: uv, each point's u then v. Cylinder:
+# side, theta, h, r.
+_SURFACE_DOUBLES = {
+    "cone": ((0.0, 1.0, 1), (0.0, 2.0 * np.pi, 1), (0.0, 1.0, 1)),
+    "cube": ((-1.0, 1.0, 2),),
+    "cylinder": ((0.0, 1.0, 1), (0.0, 2.0 * np.pi, 1), (-1.0, 1.0, 1), (0.0, 1.0, 1)),
+    "sphere": (),
+    "torus": (),
+}
+# The doubles a generated cloud draws after its surface: aspect per axis, scale and yaw.
+_JITTER_BLOCKS = ((*ASPECT_JITTER, 3), (*SCALE_JITTER, 1), (0.0, 2.0 * np.pi, 1))
+
+
+def _draw_clouds(kind, count, rng, clouds=None, after=()):
+    """Random draws of `clouds` count-point clouds of kind, cloud by cloud, in stream order.
+
+    Each cloud draws its lead (see _draw_lead), then one rng.random call for
+    its surface's run of doubles followed by the `after` blocks. A cylinder or
+    cone has no lead, so the runs of all its clouds are one call. Returns the
+    arrays for _shape_surface, then one per `after` block, each stacked on a
+    leading clouds axis (none when clouds is None).
+    """
+    blocks = [(low, high, per * count) for low, high, per in _SURFACE_DOUBLES[kind]] + list(after)
+    width = sum(block[2] for block in blocks)
+    if kind in ("cone", "cylinder"):
+        return _uniform_blocks(rng.random(width if clouds is None else (clouds, width)), blocks)
+    leads, runs = [], []
+    for _ in range(clouds or 1):
+        leads.append(_draw_lead(kind, count, rng))
+        runs.append(rng.random(width))
+    if clouds is None:
+        return [*leads[0], *_uniform_blocks(runs[0], blocks)]
+    return [*map(np.stack, zip(*leads)), *_uniform_blocks(np.stack(runs), blocks)]
+
+
+def _uniform_blocks(u, blocks):
+    """Cut the last axis of u into (low, high, width) blocks, each mapped as rng.uniform maps.
+
+    rng.uniform(low, high) returns low + (high - low) * u for the next
+    double u of rng.random, so the mapped blocks hold its bits.
+    """
+    out, start = [], 0
+    for low, high, width in blocks:
+        part = u[..., start : start + width]
+        out.append(part if (low, high) == (0.0, 1.0) else low + (high - low) * part)
+        start += width
+    return out
+
+
+def _draw_lead(kind, count, rng):
+    """The draws before a sphere's, cube's or torus's run of doubles: normals, faces or angles."""
     if kind == "sphere":
-        return (rng.standard_normal((count, 3)),)
+        return [rng.standard_normal((count, 3))]
     if kind == "cube":
-        return rng.integers(6, size=count), rng.uniform(-1.0, 1.0, size=(count, 2))
-    if kind in ("cylinder", "cone"):
-        side, theta = rng.random(count), rng.uniform(0.0, 2.0 * np.pi, size=count)
-        if kind == "cylinder":
-            return side, theta, rng.uniform(-1.0, 1.0, size=count), rng.random(count)
-        return side, theta, rng.random(count)
-    if kind == "torus":
-        theta = rng.uniform(0.0, 2.0 * np.pi, size=count)
-        phi = np.empty(count)
-        filled = 0
-        ratio = TORUS_MINOR  # relative to major radius 1
-        while filled < count:
-            cand = rng.uniform(0.0, 2.0 * np.pi, size=2 * (count - filled))
-            accept = rng.random(len(cand)) < (1.0 + ratio * np.cos(cand)) / (1.0 + ratio)
-            picked = cand[accept][: count - filled]
-            phi[filled : filled + len(picked)] = picked
-            filled += len(picked)
-        return theta, phi
-    raise ValueError(f"unknown surface kind {kind!r}")
+        return [rng.integers(6, size=count)]
+    theta = rng.uniform(0.0, 2.0 * np.pi, size=count)
+    phi = np.empty(count)
+    filled = 0
+    ratio = TORUS_MINOR  # relative to major radius 1
+    while filled < count:
+        cand = rng.uniform(0.0, 2.0 * np.pi, size=2 * (count - filled))
+        accept = rng.random(len(cand)) < (1.0 + ratio * np.cos(cand)) / (1.0 + ratio)
+        picked = cand[accept][: count - filled]
+        phi[filled : filled + len(picked)] = picked
+        filled += len(picked)
+    return [theta, phi]
 
 
 def _shape_surface(kind, draws):
-    """Points on kind's surface from _draw_surface's arrays, stacked under any leading axes."""
+    """Points on kind's surface from _draw_clouds's arrays, stacked under any leading axes."""
     if kind == "sphere":
         return draws[0] / np.linalg.norm(draws[0], axis=-1, keepdims=True)
     if kind == "cube":
@@ -125,7 +178,7 @@ def _shape_surface(kind, draws):
         face, uv = draws
         axis = face // 2
         sign = np.where(face % 2 == 0, 1.0, -1.0)
-        u, v = uv[..., 0], uv[..., 1]
+        u, v = uv[..., 0::2], uv[..., 1::2]
         x = np.where(axis == 0, sign, u)
         y = np.where(axis == 1, sign, np.where(axis == 0, u, v))
         return np.stack((x, y, np.where(axis == 2, sign, v)), axis=-1)
@@ -154,9 +207,14 @@ def generate_synthetic_dataset(families, per_class, seed):
 
     Labels follow the order of `families`; instances are drawn class major,
     instance minor, so a given (families, per_class, seed) triple always
-    yields the identical dataset. Each cloud takes its draws in turn (its
-    surface, then aspect, scale and yaw); a family's clouds are then shaped,
-    jittered, rotated and normalized as one (per_class, points, 3) stack.
+    yields the identical dataset. Each cloud takes its draws in turn: its
+    surface, then aspect, scale and yaw, five doubles. A cylinder or cone
+    cloud draws only doubles, so its whole family is one rng.random call of
+    per_class rows. A sphere, cube or torus cloud first draws its normals,
+    faces or rejection-sampled angles, then the rest of its doubles (the
+    cube's uv and the jitter) in one call. A family's clouds are then
+    shaped, jittered, rotated and normalized as one (per_class, points, 3)
+    stack.
     """
     if not families:
         raise ValueError("need at least one shape family")
@@ -168,16 +226,13 @@ def generate_synthetic_dataset(families, per_class, seed):
     rng = np.random.default_rng(seed)
     items = []
     for label, fam in enumerate(families):
-        draws, aspect, scale, yaw = [], [], [], []
-        for _ in range(per_class):
-            draws.append(_draw_surface(fam.name, fam.points, rng))
-            aspect.append(rng.uniform(ASPECT_JITTER[0], ASPECT_JITTER[1], size=3))
-            scale.append(rng.uniform(SCALE_JITTER[0], SCALE_JITTER[1]))
-            yaw.append(rng.uniform(0.0, 2.0 * np.pi))
-        pts = _shape_surface(fam.name, [np.stack(arrays) for arrays in zip(*draws)])
-        pts = pts * np.stack(aspect)[:, None, :] * np.array(scale)[:, None, None]
+        *draws, aspect, scale, yaw = _draw_clouds(
+            fam.name, fam.points, rng, per_class, _JITTER_BLOCKS
+        )
+        pts = _shape_surface(fam.name, draws)
+        pts = pts * aspect[:, None, :] * scale[:, :, None]
         # Each cloud's yaw rotation about z, applied to row vectors.
-        c, s = np.cos(yaw), np.sin(yaw)
+        c, s = np.cos(yaw[:, 0]), np.sin(yaw[:, 0])
         rot = np.zeros((per_class, 3, 3))
         rot[:, 0, 0] = rot[:, 1, 1] = c
         rot[:, 0, 1], rot[:, 1, 0] = -s, s
@@ -270,8 +325,7 @@ def build_target_domain(dataset, cell_size, drop_percent, seed, forbid=()):
     for item in dataset.items:
         pts = item.points
         for spec in stages:
-            n = len(pts)
-            if spec.kind == KIND_DROPPING and (n < 2 or drop_count(n, spec.value) >= n):
+            if spec.kind == KIND_DROPPING and not can_drop(len(pts), spec.value):
                 continue
             pts = apply_transform(spec, pts, rng)
         items.append(PointCloud(pts, item.label))

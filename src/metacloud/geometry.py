@@ -126,6 +126,15 @@ def drop_count(n, percent):
     return int(np.floor(n * percent / 100.0 + 0.5))
 
 
+def can_drop(n, percent):
+    """Whether dropping_rows can thin an n-point cloud: n >= 2 and it would not drop every point.
+
+    Both fail only for n up to a bound set by percent, so if a cloud can be
+    thinned, every larger cloud can be too.
+    """
+    return n >= 2 and drop_count(n, percent) < n
+
+
 def dropping_rows(points, anchor_index, percent):
     """Remove the m points nearest to an existing anchor point.
 

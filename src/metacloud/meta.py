@@ -33,6 +33,7 @@ from .geometry import (
     KIND_DROPPING,
     KIND_OCCLUSION,
     TransformSpec,
+    can_drop,
     transform_rows,
 )
 
@@ -209,6 +210,31 @@ def _check_step(result, epoch, step):
         raise ValueError(f"epoch {epoch}, step {step}: outer gradient of {bad[0]} is not finite")
 
 
+def _check_droppable(task_set, splits):
+    """Raise ValueError at the first cloud that a dropping task cannot thin.
+
+    splits holds (name, Dataset) pairs, checked in order. The message names
+    the split, the cloud (from 1), its point count and the task (its 1-based
+    place in the task set). A split's smallest cloud decides whether any of
+    its clouds fails (see geometry.can_drop), so a valid split costs one pass
+    over its sizes.
+    """
+    drops = [(t + 1, spec.value) for t, spec in enumerate(task_set.transforms)
+             if spec.kind == KIND_DROPPING]
+    for name, dataset in splits:
+        sizes = [len(item.points) for item in dataset.items]
+        smallest = min(sizes)
+        if all(can_drop(smallest, percent) for _, percent in drops):
+            continue
+        for i, n in enumerate(sizes, start=1):
+            for task, percent in drops:
+                if not can_drop(n, percent):
+                    raise ValueError(
+                        f"{name} cloud {i} has too few points ({n}) for task {task}"
+                        f" (dropping {percent}%)"
+                    )
+
+
 def _draw_one_uniform(probabilities, k, rng):
     return [int(rng.integers(len(probabilities)))]
 
@@ -291,6 +317,9 @@ class Run:
             raise ValueError(f"tasks_per_step {config.tasks_per_step} exceeds task count {n_tasks}")
         if not train_set.items or not val_set.items:
             raise ValueError("train and validation splits must be non-empty")
+        # The splits a mode corrupts: validation always, training unless the batch is raw.
+        corrupted = [("training", train_set)] if mode != MODE_NONE else []
+        _check_droppable(task_set, corrupted + [("validation", val_set)])
         self.config, self.task_set = config, task_set
         self.train_set, self.val_set = train_set, val_set
         self.streams = _streams(config.seed)

@@ -84,17 +84,23 @@ def init_params(class_count, rng):
     return params
 
 
+def _check_clouds(clouds):
+    """Raise ValueError unless there is at least one cloud and each is a non-empty (n, 3) array."""
+    if len(clouds) == 0:
+        raise ValueError("need at least one cloud")
+    for pts in clouds:
+        if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] == 0:
+            raise ValueError(f"bad cloud shape {pts.shape}")
+
+
 def _pack(clouds):
     """Concatenate clouds into one (total, 3) block.
 
     Returns (packed, starts, width): the segment starts, and the size every
     cloud shares, or None when the sizes differ.
     """
-    sizes = []
-    for pts in clouds:
-        if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] == 0:
-            raise ValueError(f"bad cloud shape {pts.shape}")
-        sizes.append(pts.shape[0])
+    _check_clouds(clouds)
+    sizes = [len(pts) for pts in clouds]
     packed = np.concatenate(clouds, axis=0).astype(np.float64, copy=False)
     starts = np.concatenate(([0], np.cumsum(sizes)[:-1])).astype(np.intp)
     width = sizes[0] if sizes.count(sizes[0]) == len(sizes) else None
@@ -247,10 +253,9 @@ def _task_logits(params, clouds, task_rows):
     is the maximum over its rows of them. The head runs once per task on
     all its rows, as loss_and_grad runs it on its batch.
     """
+    _check_clouds(clouds)
     pooled = np.empty((len(task_rows), len(clouds), POINT_SIZES[-1]))
     for i, pts in enumerate(clouds):
-        if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] == 0:
-            raise ValueError(f"bad cloud shape {pts.shape}")
         feats = _point_features(params, pts.astype(np.float64, copy=False))
         for out, kept in zip(pooled[:, i], [task[i] for task in task_rows]):
             # Rows are strictly increasing, so as many rows as the cloud has are all of it.

@@ -1,0 +1,60 @@
+"""Unit tests for scripts/bench_pairs.py's summary of paired benchmark runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+
+def paired_runs(parent, change, name="w.setup_s"):
+    """Runs as bench_pairs records them: pair i reads parent[i] and change[i] of one metric."""
+    return [
+        {
+            "pair": i + 1,
+            "parent": {"metrics": {name: {"value": p, "unit": "s"}}},
+            "change": {"metrics": {name: {"value": c, "unit": "s"}}},
+        }
+        for i, (p, c) in enumerate(zip(parent, change, strict=True))
+    ]
+
+
+def test_ties_count_for_neither_side():
+    runs = paired_runs([1.0, 2.0, 3.0, 4.0], [1.0, 2.5, 3.0, 3.5])
+    entry = bench_pairs.summarise(runs)["w.setup_s"]
+    assert (entry["pairs"], entry["change_lower"], entry["change_higher"]) == (4, 1, 1)
+    assert entry["parent"] == {"median": 2.5, "q1": 1.75, "q3": 3.25, "n": 4}
+
+
+def test_a_metric_missing_from_one_side_is_skipped():
+    """A metric only one side reports is left out, and so is a pair that lacks it on one side."""
+    runs = paired_runs([1.0] * 3, [0.5] * 3)
+    for run in runs:
+        run["parent"]["metrics"]["w.only_parent"] = {"value": 1.0, "unit": "s"}
+    del runs[1]["change"]["metrics"]["w.setup_s"]
+    out = bench_pairs.summarise(runs)
+    assert set(out) == {"w.setup_s"}
+    assert (out["w.setup_s"]["pairs"], out["w.setup_s"]["change_lower"]) == (2, 2)
+
+
+@pytest.mark.parametrize(
+    "parent, change, meets",
+    [
+        # Lower in 10 of 10, but the medians are 0.5 apart and the parent's IQR is 4.5.
+        (list(range(1, 11)), [v - 0.5 for v in range(1, 11)], False),
+        # The medians are 5 apart against an IQR of 0, but lower in only 8 of 10.
+        ([10.0] * 10, [5.0] * 8 + [11.0] * 2, False),
+        # Both halves: lower in 9 of 10, medians 5 apart.
+        ([10.0] * 10, [5.0] * 9 + [11.0], True),
+        # A gap equal to the IQR is not larger than it.
+        ([0.0, 1.0, 2.0, 3.0, 4.0], [-2.0, -1.0, 0.0, 1.0, 2.0], False),
+        ([0.0, 1.0, 2.0, 3.0, 4.0], [-2.5, -1.5, -0.5, 0.5, 1.5], True),
+    ],
+)
+def test_meets_lower_rule_needs_both_halves(parent, change, meets):
+    entry = bench_pairs.summarise(paired_runs(parent, change))["w.setup_s"]
+    assert entry["meets_lower_rule"] is meets

@@ -3,6 +3,7 @@
 import importlib.metadata
 import json
 import re
+import shutil
 import struct
 import subprocess
 import sys
@@ -395,6 +396,21 @@ def test_train_reports_config_and_data_errors(bench_dir, tmp_path, capsys):
                     "--seed", "0", "--out", str(tmp_path / "r")]) == 4
     assert run_cli(["train", "--manifest", str(bench_dir), "--mode", "warp",
                     "--seed", "0", "--out", str(tmp_path / "r")]) == 2
+
+
+def test_train_rejects_a_cloud_dropping_cannot_thin(bench_dir, tmp_path, capsys):
+    """A 1-point training cloud exits 4 before epoch 1, naming it, and writes nothing."""
+    shutil.copytree(bench_dir, tmp_path / "d")
+    (tmp_path / "d" / "cone" / "cone_0003.txt").write_text("1 0\n0.5 0.25 0.0\n")
+    for mode in ("metasets", "static-transform"):
+        out = tmp_path / mode
+        code = run_cli(["train", "--manifest", str(tmp_path / "d"), "--mode", mode,
+                        "--seed", "0", "--out", str(out)])
+        assert code == 4
+        assert capsys.readouterr().err == (
+            "error: training cloud 3 has too few points (1) for task 4 (dropping 24.0%)\n"
+        )
+        assert not out.exists()
 
 
 def test_train_stops_on_non_finite_loss(bench_dir, tmp_path, capsys):

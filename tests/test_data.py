@@ -152,12 +152,29 @@ def per_cloud_dataset(families, per_class, seed):
     return items
 
 
-@pytest.mark.parametrize("points, per_class, seed", [(64, 5, 2), (97, 3, 8), (1024, 2, 13)])
-def test_generate_dataset_equals_per_cloud_loop(points, per_class, seed):
+# Every family has its own size, and the batched kinds (cylinder and cone,
+# one generator call per family) come first, in the middle and last.
+MIXED_FAMILIES = [
+    ShapeFamily(name, points)
+    for name, points in zip(("cylinder", "sphere", "cone", "torus", "cube"), (64, 70, 81, 97, 65))
+]
+
+
+@pytest.mark.parametrize(
+    "families, per_class, seed",
+    [
+        (default_families(points=64), 5, 2),
+        (default_families(points=97), 3, 8),
+        (default_families(points=1024), 2, 13),
+        (MIXED_FAMILIES, 1, 21),
+        (MIXED_FAMILIES[::-1], 1, 21),
+    ],
+    ids=["64-5-2", "97-3-8", "1024-2-13", "mixed-1-21", "mixed-reversed-1-21"],
+)
+def test_generate_dataset_equals_per_cloud_loop(families, per_class, seed):
     """Shaping a family as one stack gives each cloud the bits it gets alone, in the same draw order."""
-    fams = default_families(points=points)
-    got = generate_synthetic_dataset(fams, per_class, seed).items
-    want = per_cloud_dataset(fams, per_class, seed)
+    got = generate_synthetic_dataset(families, per_class, seed).items
+    want = per_cloud_dataset(families, per_class, seed)
     assert [item.label for item in got] == [item.label for item in want]
     for a, b in zip(got, want, strict=True):
         assert a.points.tobytes() == b.points.tobytes()

@@ -414,6 +414,41 @@ def test_train_rejects_oversized_k_and_bad_mode():
         train(quick_config(), tr, va, identity_task_set(1), mode="bogus")
 
 
+def with_cloud(dataset, index, points):
+    """A copy of dataset whose item `index` (from 0) keeps only its first `points` points."""
+    items = list(dataset.items)
+    items[index] = PointCloud(items[index].points[:points].copy(), items[index].label)
+    return Dataset(items=items, class_names=list(dataset.class_names))
+
+
+def test_run_rejects_clouds_a_dropping_task_cannot_thin(monkeypatch):
+    """Before any draw, a cloud that a dropping task cannot thin stops the run by name.
+
+    Every mode checks validation, and every mode but none checks training.
+    The paper grid's first dropping task is task 4 (24%).
+    """
+    monkeypatch.setattr(meta, "_streams", lambda seed: pytest.fail("drew before the check"))
+    ts, ds = build_task_set("paper"), toy_dataset(27)
+    one_point = with_cloud(ds, 2, 1)
+    for mode in MODES:
+        with pytest.raises(ValueError, match=r"^validation cloud 3 has too few points \(1\) "
+                                             r"for task 4 \(dropping 24\.0%\)$"):
+            Run(quick_config(), ds, one_point, ts, mode)
+        if mode != MODE_NONE:
+            with pytest.raises(ValueError, match=r"^training cloud 3 has too few points \(1\)"):
+                Run(quick_config(), one_point, ds, ts, mode)
+    # drop_count(2, 80) = 2 drops every point; drop_count(3, 80) = 2 leaves one.
+    ts = TaskSet([TransformSpec("density", 1.4), TransformSpec("dropping", 80.0)])
+    for points, first in ((3, None), (2, 6)):
+        bad = with_cloud(with_cloud(ds, 5, points), 9, 2)
+        with pytest.raises(ValueError, match=rf"^training cloud {first or 10} has too few "
+                                             r"points \(2\) for task 2 \(dropping 80\.0%\)$"):
+            Run(quick_config(), bad, ds, ts, MODE_METASETS)
+    monkeypatch.undo()
+    Run(quick_config(), one_point, ds, ts, MODE_NONE)  # raw training batches need no thinning
+    Run(quick_config(), one_point, one_point, identity_task_set(2), MODE_METASETS)
+
+
 def test_train_none_mode_learns_toy_problem():
     ds = toy_dataset(25, per_class=8)
     cfg = quick_config(max_epochs=12, beta=0.02)

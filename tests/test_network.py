@@ -177,6 +177,21 @@ def test_inference_rejects_bad_cloud_shapes():
             evaluate_tasks(params, broken, [[np.arange(len(c)) for c in clouds]], labels)
 
 
+def test_every_entry_point_rejects_an_empty_cloud_list():
+    """No clouds is one designed error on every path, never an empty result or numpy's own."""
+    params = tiny_batch(9)[0]
+    calls = {
+        "logits_batch": lambda: logits_batch(params, []),
+        "evaluate": lambda: evaluate(params, [], []),
+        "loss_batch": lambda: loss_batch(params, [], []),
+        "evaluate_tasks": lambda: evaluate_tasks(params, [], [[]], []),
+        "loss_and_grad": lambda: loss_and_grad(params, [], []),
+    }
+    for call in calls.values():
+        with pytest.raises(ValueError, match=r"^need at least one cloud$"):
+            call()
+
+
 def test_logits_are_one_head_product_over_every_cloud():
     """Inference runs the head once on the whole call's pooled rows, as training does.
 
