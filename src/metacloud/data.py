@@ -118,7 +118,8 @@ def _draw_clouds(kind, count, rng, clouds=None, after=()):
 
     Each cloud draws its lead (see _draw_lead), then one rng.random call for
     its surface's run of doubles followed by the `after` blocks. A cylinder or
-    cone has no lead, so the runs of all its clouds are one call. Returns the
+    cone has no lead, so the runs of all its clouds are one call; so, in the
+    usual case, are a torus family's (see _draw_torus_family). Returns the
     arrays for _shape_surface, then one per `after` block, each stacked on a
     leading clouds axis (none when clouds is None).
     """
@@ -126,6 +127,10 @@ def _draw_clouds(kind, count, rng, clouds=None, after=()):
     width = sum(block[2] for block in blocks)
     if kind in ("cone", "cylinder"):
         return _uniform_blocks(rng.random(width if clouds is None else (clouds, width)), blocks)
+    if kind == "torus" and clouds is not None:
+        draws = _draw_torus_family(count, rng, clouds, blocks)
+        if draws is not None:
+            return draws
     leads, runs = [], []
     for _ in range(clouds or 1):
         leads.append(_draw_lead(kind, count, rng))
@@ -158,14 +163,40 @@ def _draw_lead(kind, count, rng):
     theta = rng.uniform(0.0, 2.0 * np.pi, size=count)
     phi = np.empty(count)
     filled = 0
-    ratio = TORUS_MINOR  # relative to major radius 1
     while filled < count:
         cand = rng.uniform(0.0, 2.0 * np.pi, size=2 * (count - filled))
-        accept = rng.random(len(cand)) < (1.0 + ratio * np.cos(cand)) / (1.0 + ratio)
-        picked = cand[accept][: count - filled]
+        picked = cand[_torus_accepts(cand, rng.random(len(cand)))][: count - filled]
         phi[filled : filled + len(picked)] = picked
         filled += len(picked)
     return [theta, phi]
+
+
+def _torus_accepts(cand, tests):
+    """Which candidate tube angles a torus keeps: area weighting by rejection on uniform tests."""
+    ratio = TORUS_MINOR  # relative to major radius 1
+    return tests < (1.0 + ratio * np.cos(cand)) / (1.0 + ratio)
+
+
+def _draw_torus_family(count, rng, clouds, blocks):
+    """_draw_clouds of `clouds` torus clouds when each keeps count angles of its first round.
+
+    A torus cloud draws theta, then rounds of 2m candidate angles and 2m
+    tests until it has count angles. In the usual case one round fills it,
+    and then every cloud's draws, blocks included, are one run of doubles,
+    so the family is one call. Otherwise the stream is rewound to where it
+    was and None is returned.
+    """
+    state = rng.bit_generator.state
+    width = 5 * count + sum(block[2] for block in blocks)
+    rounds = [(0.0, 2.0 * np.pi, count), (0.0, 2.0 * np.pi, 2 * count), (0.0, 1.0, 2 * count)]
+    theta, cand, tests, *rest = _uniform_blocks(rng.random((clouds, width)), rounds + blocks)
+    accept = _torus_accepts(cand, tests)
+    if (accept.sum(axis=1) < count).any():
+        rng.bit_generator.state = state
+        return None
+    # Each cloud's first count accepted candidates, in draw order.
+    accept &= np.cumsum(accept, axis=1) <= count
+    return [theta, cand[accept].reshape(clouds, count), *rest]
 
 
 def _shape_surface(kind, draws):
@@ -210,11 +241,13 @@ def generate_synthetic_dataset(families, per_class, seed):
     yields the identical dataset. Each cloud takes its draws in turn: its
     surface, then aspect, scale and yaw, five doubles. A cylinder or cone
     cloud draws only doubles, so its whole family is one rng.random call of
-    per_class rows. A sphere, cube or torus cloud first draws its normals,
-    faces or rejection-sampled angles, then the rest of its doubles (the
-    cube's uv and the jitter) in one call. A family's clouds are then
-    shaped, jittered, rotated and normalized as one (per_class, points, 3)
-    stack.
+    per_class rows. So is a torus family whenever each cloud's first round
+    of rejection sampling keeps enough angles, which at 64 points or more
+    is the usual case; otherwise the stream is rewound and the family drawn
+    cloud by cloud. A sphere or cube cloud first draws its normals or faces,
+    then the rest of its doubles (the cube's uv and the jitter) in one call.
+    A family's clouds are then shaped, jittered, rotated and normalized as
+    one (per_class, points, 3) stack.
     """
     if not families:
         raise ValueError("need at least one shape family")

@@ -6,6 +6,7 @@ import logging
 import numpy as np
 import pytest
 
+from metacloud import data
 from metacloud.data import (
     ASPECT_JITTER,
     Dataset,
@@ -178,6 +179,31 @@ def test_generate_dataset_equals_per_cloud_loop(families, per_class, seed):
     assert [item.label for item in got] == [item.label for item in want]
     for a, b in zip(got, want, strict=True):
         assert a.points.tobytes() == b.points.tobytes()
+
+
+def test_torus_family_is_one_call_or_falls_back_to_per_cloud_draws(monkeypatch):
+    """A torus family is one call when every cloud's first round fills it.
+
+    Otherwise it rewinds and draws cloud by cloud. Below ShapeFamily's
+    64-point floor, 6 candidates often keep fewer than 3 angles; the cone
+    after the torus reads the stream where the torus left it.
+    """
+    batched, outcomes = data._draw_torus_family, []
+
+    def record(*args):
+        outcomes.append(batched(*args))
+        return outcomes[-1]
+
+    monkeypatch.setattr(data, "_draw_torus_family", record)
+    families = [ShapeFamily("torus"), ShapeFamily("cone")]
+    for points, rewound in ((96, False), (3, True)):
+        outcomes.clear()
+        for fam in families:
+            fam.points = points
+        got = generate_synthetic_dataset(families, 20, 4).items
+        assert [draws is None for draws in outcomes] == [rewound]
+        for a, b in zip(got, per_cloud_dataset(families, 20, 4), strict=True):
+            assert a.points.tobytes() == b.points.tobytes()
 
 
 def test_generate_dataset_normalized_and_sized():
