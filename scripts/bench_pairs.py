@@ -6,9 +6,11 @@ speed falls on both sides alike. Every metric of the runs' summary lines
 (`workload.metric`) gets, per side, the median and the first and third
 quartiles, and the number of pairs in which the change read lower and
 higher than the parent (a tie counts for neither). `meets_lower_rule` says
-whether a metric where lower is better shows a gain: the change read lower
-in at least 9 of every 10 pairs, and its median is below the parent's by
-more than the parent's interquartile range (q3 - q1):
+whether a metric shows a gain: the change read lower in at least 9 of every
+10 pairs, and its median is below the parent's by more than the parent's
+interquartile range (q3 - q1). It is null (printed n/a) unless the change
+tree's BENCHMARK.json says lower is better for the metric and there are at
+least 10 pairs:
 
     python3 scripts/bench_pairs.py --parent OLD --change . --pairs 10 --out BENCH_N.json
     python3 scripts/bench_pairs.py --parent OLD --change . --pairs 3 --trace 1 --out traced.json
@@ -47,10 +49,17 @@ def spread(values):
     return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
 
 
-def summarise(runs):
+def directions(benchmark):
+    """Each metric's `better` in a parsed BENCHMARK.json, by its name after the workload."""
+    return {m["name"]: m["better"] for m in benchmark["end_to_end"] + benchmark["per_layer"]}
+
+
+def summarise(runs, better):
     """Per metric: each side's spread, how many pairs the change read lower or higher, the rule.
 
-    A metric is skipped in a pair that lacks it on either side.
+    A metric is skipped in a pair that lacks it on either side. `better` maps
+    a metric's name after its workload (`workload.name`) to "lower" or
+    "higher", as directions returns it.
     """
     names = sorted(set().union(*(run[side]["metrics"] for run in runs for side in SIDES)))
     out = {}
@@ -61,6 +70,7 @@ def summarise(runs):
         parent, change = ([run[side]["metrics"][name]["value"] for run in both] for side in SIDES)
         before, after = spread(parent), spread(change)
         lower = sum(c < p for p, c in zip(parent, change))
+        rule_applies = better.get(name.split(".", 1)[-1]) == "lower" and len(both) >= 10
         out[name] = {
             "unit": both[0]["parent"]["metrics"][name]["unit"],
             "parent": before,
@@ -68,8 +78,10 @@ def summarise(runs):
             "pairs": len(both),
             "change_lower": lower,
             "change_higher": sum(c > p for p, c in zip(parent, change)),
-            "meets_lower_rule": 10 * lower >= 9 * len(both)
-            and before["median"] - after["median"] > before["q3"] - before["q1"],
+            "meets_lower_rule": (
+                10 * lower >= 9 * len(both)
+                and before["median"] - after["median"] > before["q3"] - before["q1"]
+            ) if rule_applies else None,
         }
     return out
 
@@ -89,6 +101,7 @@ def main(argv=None):
     for side, tree in trees.items():
         if not (tree / "bench" / "run.py").is_file():
             parser.error(f"--{side} {tree} has no bench/run.py")
+    better = directions(json.loads((trees["change"] / "BENCHMARK.json").read_text()))
 
     runs = []
     for pair in range(args.pairs):
@@ -105,17 +118,17 @@ def main(argv=None):
             "command": f"python3 bench/run.py --trace {args.trace}",
             "pairs": len(runs),
             "failed_runs": {side: sum(r[side]["exit"] != 0 for r in runs) for side in SIDES},
-            "metrics": summarise(runs),
+            "metrics": summarise(runs, better),
             "runs": runs,
         }
         Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
 
     for name, entry in report["metrics"].items():
-        p, c = entry["parent"], entry["change"]
+        p, c, rule = entry["parent"], entry["change"], entry["meets_lower_rule"]
         print(f"{name:<40} {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}] -> "
               f"{c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}] {entry['unit']}, "
               f"lower in {entry['change_lower']} of {entry['pairs']}, "
-              f"meets lower rule: {entry['meets_lower_rule']}")
+              f"meets lower rule: {'n/a' if rule is None else rule}")
     return 0 if not any(report["failed_runs"].values()) else 1
 
 

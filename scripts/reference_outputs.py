@@ -24,13 +24,24 @@ to `<step>.log`, so runs of two source trees compare with one `diff -r`:
     python3 scripts/reference_outputs.py --src OLD/src --out /tmp/old
     python3 scripts/reference_outputs.py --src src --out /tmp/new
     diff -r /tmp/old /tmp/new
+
+Last it writes `digests.txt`: a header line naming the numpy version, the
+BLAS name and version and the thread pin, then one `sha256  relative/path`
+line per other artifact, in sorted order. `tests/reference_digests.txt` is
+this tree's copy; after a change of bits on purpose, regenerate it with
+
+    python3 scripts/reference_outputs.py --src src --out /tmp/ref
+    cp /tmp/ref/digests.txt tests/reference_digests.txt
 """
 
 import argparse
+import hashlib
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 MODES = ("metasets", "none", "augment", "no-soft-sampling", "static-transform")
 TASK_GRIDS = ("paper", "stratified")
@@ -56,11 +67,13 @@ with open(sys.argv[3], "w") as fh:
     for row in network.logits_batch(params, clouds).tolist():
         fh.write(" ".join(map(repr, row)) + "\\n")
 """
+PIN = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+DIGESTS_NAME = "digests.txt"
 
 
 def python(src, out, step, argv):
     """Run `python argv` from out; stop the whole script if it fails."""
-    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env = dict(os.environ, PYTHONPATH=str(src), **PIN)
     proc = subprocess.run(
         [sys.executable, *argv],
         cwd=out, env=env, capture_output=True, text=True,
@@ -73,6 +86,16 @@ def python(src, out, step, argv):
 def run(src, out, step, argv):
     """Run `python -m metacloud argv` from out; stop the whole script if it fails."""
     python(src, out, step, ["-m", "metacloud", *argv])
+
+
+def write_digests(out):
+    """Write out/digests.txt: the environment, then each artifact's sha256 by its path."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    pin = " ".join(f"{key}={value}" for key, value in PIN.items())
+    lines = [f"# numpy {np.__version__}, BLAS {blas['name']} {blas['version']}, {pin}"]
+    for rel in sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()):
+        lines.append(f"{hashlib.sha256((out / rel).read_bytes()).hexdigest()}  {rel}")
+    (out / DIGESTS_NAME).write_text("\n".join(lines) + "\n")
 
 
 def main(argv=None):
@@ -113,6 +136,7 @@ def main(argv=None):
         python(src, out, f"logits-transform-{kind}",
             ["-c", LOGITS, f"runs/{CHECKPOINT_RUN}/model.ckpt", f"transformed/{kind}",
              f"transformed/{kind}-logits.txt"])
+    write_digests(out)
     print(f"outputs in {out}")
     return 0
 

@@ -4,11 +4,7 @@ The benchmark draws labeled point clouds from five parametric surface
 families. Every generated instance gets per-axis aspect jitter, an overall
 scale jitter, a uniform yaw rotation about z, and unit-ball normalization.
 
-Generation takes each run of consecutive double draws in one rng.random
-call and maps each block of it to its range as rng.uniform does, low +
-(high - low) * u. Every double takes one 64-bit output of the bit
-generator, whether drawn alone or in a larger call, so the merged calls
-read the same stream and give the same bits as one call per draw.
+_draw_clouds describes how a family's draws are laid out in the stream.
 
 Clouds are stored one per text file (header "n label", then n lines "x y z")
 under a directory per class, indexed by a manifest of relative paths.
@@ -95,67 +91,74 @@ def sample_surface(kind, count, rng):
     """
     if kind not in SURFACE_KINDS:
         raise ValueError(f"unknown surface kind {kind!r}")
-    return _shape_surface(kind, _draw_clouds(kind, count, rng))
+    return _shape_surface(kind, _draw_clouds(kind, count, rng))[0]
 
 
 # The run of doubles that ends each kind's surface draws, in stream order, as
-# (low, high, doubles per point) blocks; a cylinder or cone draws nothing
-# else. Cone: side, theta, t. Cube: uv, each point's u then v. Cylinder:
-# side, theta, h, r.
+# (low, high, doubles per point) blocks. Cone: side, theta, t. Cube: uv, each
+# point's u then v. Cylinder: side, theta, h, r. Torus: theta, then the usual
+# first round of its rejection sampling, 2 candidate angles and 2 tests.
 _SURFACE_DOUBLES = {
     "cone": ((0.0, 1.0, 1), (0.0, 2.0 * np.pi, 1), (0.0, 1.0, 1)),
     "cube": ((-1.0, 1.0, 2),),
     "cylinder": ((0.0, 1.0, 1), (0.0, 2.0 * np.pi, 1), (-1.0, 1.0, 1), (0.0, 1.0, 1)),
     "sphere": (),
-    "torus": (),
+    "torus": ((0.0, 2.0 * np.pi, 1), (0.0, 2.0 * np.pi, 2), (0.0, 1.0, 2)),
 }
 # The doubles a generated cloud draws after its surface: aspect per axis, scale and yaw.
 _JITTER_BLOCKS = ((*ASPECT_JITTER, 3), (*SCALE_JITTER, 1), (0.0, 2.0 * np.pi, 1))
 
 
-def _draw_clouds(kind, count, rng, clouds=None, after=()):
+def _draw_clouds(kind, count, rng, clouds=1, after=()):
     """Random draws of `clouds` count-point clouds of kind, cloud by cloud, in stream order.
 
-    Each cloud draws its lead (see _draw_lead), then one rng.random call for
-    its surface's run of doubles followed by the `after` blocks. A cylinder or
-    cone has no lead, so the runs of all its clouds are one call; so, in the
-    usual case, are a torus family's (see _draw_torus_family). Returns the
-    arrays for _shape_surface, then one per `after` block, each stacked on a
-    leading clouds axis (none when clouds is None).
+    Each cloud draws its lead (see _draw_lead), then its surface's run of
+    doubles followed by the `after` blocks. Each run of consecutive doubles
+    is one rng.random call, cut into (low, high, width) blocks and mapped to
+    each range as rng.uniform maps a draw, low + (high - low) * u. Every
+    double takes one 64-bit output of the bit generator, whether drawn alone
+    or in a larger call, so a merged call reads the stream, and gives the
+    bits, of one call per draw.
+
+    A cylinder, cone or torus cloud has no lead, so its family is one
+    rng.random((clouds, width)) call. A torus cloud needs count accepted
+    angles from its first round; if one falls short, the stream is restored
+    and the family drawn by the per-cloud loop, where a torus lead is theta
+    and every round. Returns the arrays for _shape_surface, then one per
+    `after` block, each stacked on a leading clouds axis.
     """
     blocks = [(low, high, per * count) for low, high, per in _SURFACE_DOUBLES[kind]] + list(after)
-    width = sum(block[2] for block in blocks)
-    if kind in ("cone", "cylinder"):
-        return _uniform_blocks(rng.random(width if clouds is None else (clouds, width)), blocks)
-    if kind == "torus" and clouds is not None:
-        draws = _draw_torus_family(count, rng, clouds, blocks)
-        if draws is not None:
+    if kind in ("cone", "cylinder", "torus"):
+        state = rng.bit_generator.state
+        draws = _uniform_blocks(rng.random((clouds, sum(b[2] for b in blocks))), blocks)
+        if kind != "torus":
             return draws
+        theta, cand, tests, *rest = draws
+        accept = _torus_accepts(cand, tests)
+        if (accept.sum(axis=1) >= count).all():
+            # Each cloud's first count accepted candidates, in draw order.
+            accept &= np.cumsum(accept, axis=1) <= count
+            return [theta, cand[accept].reshape(clouds, count), *rest]
+        rng.bit_generator.state = state
+        blocks = blocks[3:]
     leads, runs = [], []
-    for _ in range(clouds or 1):
+    for _ in range(clouds):
         leads.append(_draw_lead(kind, count, rng))
-        runs.append(rng.random(width))
-    if clouds is None:
-        return [*leads[0], *_uniform_blocks(runs[0], blocks)]
+        runs.append(rng.random(sum(b[2] for b in blocks)))
     return [*map(np.stack, zip(*leads)), *_uniform_blocks(np.stack(runs), blocks)]
 
 
 def _uniform_blocks(u, blocks):
-    """Cut the last axis of u into (low, high, width) blocks, each mapped as rng.uniform maps.
-
-    rng.uniform(low, high) returns low + (high - low) * u for the next
-    double u of rng.random, so the mapped blocks hold its bits.
-    """
+    """Cut the last axis of u into (low, high, width) blocks, each mapped as rng.uniform maps."""
     out, start = [], 0
     for low, high, width in blocks:
-        part = u[..., start : start + width]
-        out.append(part if (low, high) == (0.0, 1.0) else low + (high - low) * part)
+        out.append(low + (high - low) * u[..., start : start + width])
         start += width
     return out
 
 
 def _draw_lead(kind, count, rng):
-    """The draws before a sphere's, cube's or torus's run of doubles: normals, faces or angles."""
+    """A sphere's normals, a cube's faces, or a torus's theta and every round of its tube angles."""
     if kind == "sphere":
         return [rng.standard_normal((count, 3))]
     if kind == "cube":
@@ -175,28 +178,6 @@ def _torus_accepts(cand, tests):
     """Which candidate tube angles a torus keeps: area weighting by rejection on uniform tests."""
     ratio = TORUS_MINOR  # relative to major radius 1
     return tests < (1.0 + ratio * np.cos(cand)) / (1.0 + ratio)
-
-
-def _draw_torus_family(count, rng, clouds, blocks):
-    """_draw_clouds of `clouds` torus clouds when each keeps count angles of its first round.
-
-    A torus cloud draws theta, then rounds of 2m candidate angles and 2m
-    tests until it has count angles. In the usual case one round fills it,
-    and then every cloud's draws, blocks included, are one run of doubles,
-    so the family is one call. Otherwise the stream is rewound to where it
-    was and None is returned.
-    """
-    state = rng.bit_generator.state
-    width = 5 * count + sum(block[2] for block in blocks)
-    rounds = [(0.0, 2.0 * np.pi, count), (0.0, 2.0 * np.pi, 2 * count), (0.0, 1.0, 2 * count)]
-    theta, cand, tests, *rest = _uniform_blocks(rng.random((clouds, width)), rounds + blocks)
-    accept = _torus_accepts(cand, tests)
-    if (accept.sum(axis=1) < count).any():
-        rng.bit_generator.state = state
-        return None
-    # Each cloud's first count accepted candidates, in draw order.
-    accept &= np.cumsum(accept, axis=1) <= count
-    return [theta, cand[accept].reshape(clouds, count), *rest]
 
 
 def _shape_surface(kind, draws):
@@ -239,15 +220,9 @@ def generate_synthetic_dataset(families, per_class, seed):
     Labels follow the order of `families`; instances are drawn class major,
     instance minor, so a given (families, per_class, seed) triple always
     yields the identical dataset. Each cloud takes its draws in turn: its
-    surface, then aspect, scale and yaw, five doubles. A cylinder or cone
-    cloud draws only doubles, so its whole family is one rng.random call of
-    per_class rows. So is a torus family whenever each cloud's first round
-    of rejection sampling keeps enough angles, which at 64 points or more
-    is the usual case; otherwise the stream is rewound and the family drawn
-    cloud by cloud. A sphere or cube cloud first draws its normals or faces,
-    then the rest of its doubles (the cube's uv and the jitter) in one call.
-    A family's clouds are then shaped, jittered, rotated and normalized as
-    one (per_class, points, 3) stack.
+    surface, then aspect, scale and yaw (see _draw_clouds). A family's
+    clouds are then shaped, jittered, rotated and normalized as one
+    (per_class, points, 3) stack.
     """
     if not families:
         raise ValueError("need at least one shape family")
@@ -331,7 +306,7 @@ def split_train_val(dataset, seed):
     return train, val
 
 
-def build_target_domain(dataset, cell_size, drop_percent, seed, forbid=()):
+def build_target_domain(dataset, cell_size, drop_percent, seed):
     """Corrupt fresh copies of a dataset into a held-out evaluation domain.
 
     Applies occlusion with `cell_size` and then dropping with
@@ -340,14 +315,8 @@ def build_target_domain(dataset, cell_size, drop_percent, seed, forbid=()):
     None yields an untouched copy. A cloud that dropping cannot thin, one
     of fewer than 2 points or one it would empty (occlusion can leave 1 or
     2 points), passes the dropping stage untouched and draws no anchor, so
-    every other cloud gets the draws it would get without it. `forbid`
-    lists TransformSpecs whose static values the target must not reuse.
+    every other cloud gets the draws it would get without it.
     """
-    for spec in forbid:
-        if spec.kind == KIND_OCCLUSION and cell_size == spec.value:
-            raise ValueError(f"target cell size {cell_size} collides with a training task")
-        if spec.kind == KIND_DROPPING and drop_percent == spec.value:
-            raise ValueError(f"target drop percent {drop_percent} collides with a training task")
     rng = np.random.default_rng(seed)
     stages = []
     if cell_size is not None:

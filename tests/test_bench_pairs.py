@@ -1,14 +1,16 @@
 """Unit tests for scripts/bench_pairs.py's summary of paired benchmark runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
-spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+ROOT = Path(__file__).resolve().parents[1]
+spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
 bench_pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_pairs)
+BETTER = bench_pairs.directions(json.loads((ROOT / "BENCHMARK.json").read_text()))
 
 
 def paired_runs(parent, change, name="w.setup_s"):
@@ -25,7 +27,7 @@ def paired_runs(parent, change, name="w.setup_s"):
 
 def test_ties_count_for_neither_side():
     runs = paired_runs([1.0, 2.0, 3.0, 4.0], [1.0, 2.5, 3.0, 3.5])
-    entry = bench_pairs.summarise(runs)["w.setup_s"]
+    entry = bench_pairs.summarise(runs, BETTER)["w.setup_s"]
     assert (entry["pairs"], entry["change_lower"], entry["change_higher"]) == (4, 1, 1)
     assert entry["parent"] == {"median": 2.5, "q1": 1.75, "q3": 3.25, "n": 4}
 
@@ -36,7 +38,7 @@ def test_a_metric_missing_from_one_side_is_skipped():
     for run in runs:
         run["parent"]["metrics"]["w.only_parent"] = {"value": 1.0, "unit": "s"}
     del runs[1]["change"]["metrics"]["w.setup_s"]
-    out = bench_pairs.summarise(runs)
+    out = bench_pairs.summarise(runs, BETTER)
     assert set(out) == {"w.setup_s"}
     assert (out["w.setup_s"]["pairs"], out["w.setup_s"]["change_lower"]) == (2, 2)
 
@@ -50,11 +52,23 @@ def test_a_metric_missing_from_one_side_is_skipped():
         ([10.0] * 10, [5.0] * 8 + [11.0] * 2, False),
         # Both halves: lower in 9 of 10, medians 5 apart.
         ([10.0] * 10, [5.0] * 9 + [11.0], True),
-        # A gap equal to the IQR is not larger than it.
-        ([0.0, 1.0, 2.0, 3.0, 4.0], [-2.0, -1.0, 0.0, 1.0, 2.0], False),
-        ([0.0, 1.0, 2.0, 3.0, 4.0], [-2.5, -1.5, -0.5, 0.5, 1.5], True),
+        # A gap equal to the IQR (6.75 - 2.25) is not larger than it.
+        (list(range(10)), [v - 4.5 for v in range(10)], False),
+        (list(range(10)), [v - 5.0 for v in range(10)], True),
     ],
 )
 def test_meets_lower_rule_needs_both_halves(parent, change, meets):
-    entry = bench_pairs.summarise(paired_runs(parent, change))["w.setup_s"]
+    entry = bench_pairs.summarise(paired_runs(parent, change), BETTER)["w.setup_s"]
     assert entry["meets_lower_rule"] is meets
+
+
+@pytest.mark.parametrize(
+    "name, pairs",
+    [("w.trace.coverage", 10), ("w.setup_s", 9), ("w.setup_s", 3)],
+    ids=["higher-is-better", "9-pairs", "3-pairs"],
+)
+def test_the_rule_is_null_unless_lower_is_better_over_10_pairs(name, pairs):
+    """A gain a rule for lower-is-better metrics finds in 10 pairs is not read into others."""
+    entry = bench_pairs.summarise(paired_runs([10.0] * pairs, [5.0] * pairs, name), BETTER)[name]
+    assert entry["change_lower"] == pairs
+    assert entry["meets_lower_rule"] is None

@@ -137,13 +137,36 @@ def test_generate_dataset_bits_are_pinned():
             assert not np.shares_memory(a.points, b.points)
 
 
+def draw_surface(kind, count, rng):
+    """One cloud's surface draws, one generator call per quantity, in the documented order."""
+    if kind == "sphere":
+        return [rng.standard_normal((count, 3))]
+    if kind == "cube":
+        return [rng.integers(6, size=count), rng.uniform(-1.0, 1.0, size=2 * count)]
+    if kind in ("cylinder", "cone"):
+        side, theta = rng.random(count), rng.uniform(0.0, 2.0 * np.pi, size=count)
+        if kind == "cylinder":
+            return [side, theta, rng.uniform(-1.0, 1.0, size=count), rng.random(count)]
+        return [side, theta, rng.random(count)]
+    theta = rng.uniform(0.0, 2.0 * np.pi, size=count)
+    phi = np.empty(count)
+    filled = 0
+    while filled < count:
+        cand = rng.uniform(0.0, 2.0 * np.pi, size=2 * (count - filled))
+        accept = rng.random(len(cand)) < (1.0 + TORUS_MINOR * np.cos(cand)) / (1.0 + TORUS_MINOR)
+        picked = cand[accept][: count - filled]
+        phi[filled : filled + len(picked)] = picked
+        filled += len(picked)
+    return [theta, phi]
+
+
 def per_cloud_dataset(families, per_class, seed):
-    """The generator as a loop over clouds, each sampled, jittered, rotated and normalized alone."""
+    """The generator as a loop over clouds, each drawn, jittered, rotated and normalized alone."""
     rng = np.random.default_rng(seed)
     items = []
     for label, fam in enumerate(families):
         for _ in range(per_class):
-            pts = sample_surface(fam.name, fam.points, rng)
+            pts = data._shape_surface(fam.name, draw_surface(fam.name, fam.points, rng))
             aspect = rng.uniform(ASPECT_JITTER[0], ASPECT_JITTER[1], size=3)
             scale = rng.uniform(SCALE_JITTER[0], SCALE_JITTER[1])
             yaw = rng.uniform(0.0, 2.0 * np.pi)
@@ -151,6 +174,23 @@ def per_cloud_dataset(families, per_class, seed):
             rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
             items.append(PointCloud(normalize_unit_ball((pts * aspect * scale) @ rot.T), label))
     return items
+
+
+@pytest.mark.parametrize("kind", data.SURFACE_KINDS)
+@pytest.mark.parametrize("count", [3, 96])
+def test_sample_surface_equals_per_quantity_draws(kind, count):
+    """sample_surface reads the stream as one call per quantity would, and leaves it there.
+
+    At 3 points a torus's first round sometimes keeps too few angles (seeds
+    18 and 24 here), so its stream is restored and the angles drawn round
+    by round.
+    """
+    for seed in range(32):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sample_surface(kind, count, rng)
+        want = data._shape_surface(kind, draw_surface(kind, count, ref))
+        assert got.tobytes() == want.tobytes()
+        assert rng.random() == ref.random()
 
 
 # Every family has its own size, and the batched kinds (cylinder and cone,
@@ -184,24 +224,29 @@ def test_generate_dataset_equals_per_cloud_loop(families, per_class, seed):
 def test_torus_family_is_one_call_or_falls_back_to_per_cloud_draws(monkeypatch):
     """A torus family is one call when every cloud's first round fills it.
 
-    Otherwise it rewinds and draws cloud by cloud. Below ShapeFamily's
-    64-point floor, 6 candidates often keep fewer than 3 angles; the cone
-    after the torus reads the stream where the torus left it.
+    Otherwise the stream is restored and the family drawn cloud by cloud,
+    one 1-D round of candidates at a time. Below ShapeFamily's 64-point
+    floor, 6 candidates often keep fewer than 3 angles; the cone after the
+    torus reads the stream where the torus left it.
     """
-    batched, outcomes = data._draw_torus_family, []
+    accepts, shapes = data._torus_accepts, []
 
-    def record(*args):
-        outcomes.append(batched(*args))
-        return outcomes[-1]
+    def record(cand, tests):
+        shapes.append(cand.shape)
+        return accepts(cand, tests)
 
-    monkeypatch.setattr(data, "_draw_torus_family", record)
+    monkeypatch.setattr(data, "_torus_accepts", record)
     families = [ShapeFamily("torus"), ShapeFamily("cone")]
-    for points, rewound in ((96, False), (3, True)):
-        outcomes.clear()
+    for points in (96, 3):
+        shapes.clear()
         for fam in families:
             fam.points = points
         got = generate_synthetic_dataset(families, 20, 4).items
-        assert [draws is None for draws in outcomes] == [rewound]
+        assert shapes[0] == (20, 2 * points)
+        if points == 96:
+            assert len(shapes) == 1
+        else:
+            assert len(shapes) > 20 and all(len(shape) == 1 for shape in shapes[1:])
         for a, b in zip(got, per_cloud_dataset(families, 20, 4), strict=True):
             assert a.points.tobytes() == b.points.tobytes()
 
@@ -344,16 +389,6 @@ def test_build_target_domain_skips_dropping_it_cannot_do():
     np.testing.assert_array_equal(target.items[0].points, tight[:1])
     np.testing.assert_array_equal(target.items[1].points, tight[:2])
     np.testing.assert_array_equal(target.items[2].points, want)
-
-
-def test_build_target_domain_rejects_training_collision():
-    ds = generate_synthetic_dataset(default_families(points=64), per_class=1, seed=19)
-    forbid = [TransformSpec("occlusion", 0.022), TransformSpec("dropping", 36.0)]
-    with pytest.raises(ValueError):
-        build_target_domain(ds, cell_size=0.022, drop_percent=50.0, seed=0, forbid=forbid)
-    with pytest.raises(ValueError):
-        build_target_domain(ds, cell_size=0.3, drop_percent=36.0, seed=0, forbid=forbid)
-    build_target_domain(ds, cell_size=0.3, drop_percent=50.0, seed=0, forbid=forbid)
 
 
 # ----------------------------------------------------------------- cloud files
