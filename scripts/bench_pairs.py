@@ -10,7 +10,10 @@ whether a metric shows a gain: the change read lower in at least 9 of every
 10 pairs, and its median is below the parent's by more than the parent's
 interquartile range (q3 - q1). It is null (printed n/a) unless the change
 tree's BENCHMARK.json says lower is better for the metric and there are at
-least 10 pairs:
+least 10 pairs. `within_bound` says whether the change's median stays within
+the metric's BENCHMARK.json bound of the parent's: for a lower-is-better
+metric, at most the parent's median times (1 + bound). It is null for a
+metric with no bound:
 
     python3 scripts/bench_pairs.py --parent OLD --change . --pairs 10 --out BENCH_N.json
     python3 scripts/bench_pairs.py --parent OLD --change . --pairs 3 --trace 1 --out traced.json
@@ -49,17 +52,17 @@ def spread(values):
     return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
 
 
-def directions(benchmark):
-    """Each metric's `better` in a parsed BENCHMARK.json, by its name after the workload."""
-    return {m["name"]: m["better"] for m in benchmark["end_to_end"] + benchmark["per_layer"]}
+def declared(benchmark):
+    """Each metric's entry in a parsed BENCHMARK.json, by its name after the workload."""
+    return {m["name"]: m for m in benchmark["end_to_end"] + benchmark["per_layer"]}
 
 
-def summarise(runs, better):
-    """Per metric: each side's spread, how many pairs the change read lower or higher, the rule.
+def summarise(runs, declared):
+    """Per metric: each side's spread, how many pairs the change read lower or higher, the rules.
 
-    A metric is skipped in a pair that lacks it on either side. `better` maps
-    a metric's name after its workload (`workload.name`) to "lower" or
-    "higher", as directions returns it.
+    A metric is skipped in a pair that lacks it on either side. `declared`
+    maps a metric's name after its workload (`workload.name`) to its
+    BENCHMARK.json entry, as declared returns it.
     """
     names = sorted(set().union(*(run[side]["metrics"] for run in runs for side in SIDES)))
     out = {}
@@ -70,7 +73,9 @@ def summarise(runs, better):
         parent, change = ([run[side]["metrics"][name]["value"] for run in both] for side in SIDES)
         before, after = spread(parent), spread(change)
         lower = sum(c < p for p, c in zip(parent, change))
-        rule_applies = better.get(name.split(".", 1)[-1]) == "lower" and len(both) >= 10
+        spec = declared.get(name.split(".", 1)[-1], {})
+        rule_applies = spec.get("better") == "lower" and len(both) >= 10
+        bound = spec.get("bound")
         out[name] = {
             "unit": both[0]["parent"]["metrics"][name]["unit"],
             "parent": before,
@@ -82,6 +87,10 @@ def summarise(runs, better):
                 10 * lower >= 9 * len(both)
                 and before["median"] - after["median"] > before["q3"] - before["q1"]
             ) if rule_applies else None,
+            "within_bound": None if bound is None else (
+                after["median"] <= before["median"] * (1 + bound) if spec["better"] == "lower"
+                else after["median"] >= before["median"] * (1 - bound)
+            ),
         }
     return out
 
@@ -101,7 +110,7 @@ def main(argv=None):
     for side, tree in trees.items():
         if not (tree / "bench" / "run.py").is_file():
             parser.error(f"--{side} {tree} has no bench/run.py")
-    better = directions(json.loads((trees["change"] / "BENCHMARK.json").read_text()))
+    metrics = declared(json.loads((trees["change"] / "BENCHMARK.json").read_text()))
 
     runs = []
     for pair in range(args.pairs):
@@ -118,17 +127,19 @@ def main(argv=None):
             "command": f"python3 bench/run.py --trace {args.trace}",
             "pairs": len(runs),
             "failed_runs": {side: sum(r[side]["exit"] != 0 for r in runs) for side in SIDES},
-            "metrics": summarise(runs, better),
+            "metrics": summarise(runs, metrics),
             "runs": runs,
         }
         Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
 
     for name, entry in report["metrics"].items():
-        p, c, rule = entry["parent"], entry["change"], entry["meets_lower_rule"]
+        p, c, rule, within = (entry[key] for key in ("parent", "change", "meets_lower_rule",
+                                                      "within_bound"))
         print(f"{name:<40} {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}] -> "
               f"{c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}] {entry['unit']}, "
               f"lower in {entry['change_lower']} of {entry['pairs']}, "
-              f"meets lower rule: {'n/a' if rule is None else rule}")
+              f"meets lower rule: {'n/a' if rule is None else rule}, "
+              f"within bound: {'n/a' if within is None else within}")
     return 0 if not any(report["failed_runs"].values()) else 1
 
 

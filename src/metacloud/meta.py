@@ -235,6 +235,37 @@ def _check_droppable(task_set, splits):
                     )
 
 
+# How far past norm 1 a corrupted cloud's points may lie. The transforms'
+# parameters are meant for clouds in the unit ball, and normalize_unit_ball
+# leaves its farthest point within a few ulp of norm 1.
+UNIT_BALL_TOLERANCE = 1e-6
+
+
+def _largest_norm(points):
+    return float(np.linalg.norm(points, axis=1).max(initial=0.0))
+
+
+def _check_unit_ball(splits):
+    """Raise ValueError at the first cloud with a point past norm 1 + UNIT_BALL_TOLERANCE.
+
+    splits holds (name, Dataset) pairs, checked in order. The message names
+    the split, the cloud (from 1) and its largest norm. A split whose points
+    all lie inside costs one pass over them.
+    """
+    bound = 1.0 + UNIT_BALL_TOLERANCE
+    for name, dataset in splits:
+        clouds = [item.points for item in dataset.items]
+        if _largest_norm(np.concatenate(clouds)) <= bound:
+            continue
+        for i, points in enumerate(clouds, start=1):
+            norm = _largest_norm(points)
+            if not norm <= bound:
+                raise ValueError(
+                    f"{name} cloud {i} lies outside the unit ball: its largest norm is {norm!r}"
+                    f" (tolerance {UNIT_BALL_TOLERANCE})"
+                )
+
+
 def _draw_one_uniform(probabilities, k, rng):
     return [int(rng.integers(len(probabilities)))]
 
@@ -319,7 +350,9 @@ class Run:
             raise ValueError("train and validation splits must be non-empty")
         # The splits a mode corrupts: validation always, training unless the batch is raw.
         corrupted = [("training", train_set)] if mode != MODE_NONE else []
-        _check_droppable(task_set, corrupted + [("validation", val_set)])
+        corrupted.append(("validation", val_set))
+        _check_droppable(task_set, corrupted)
+        _check_unit_ball(corrupted)
         self.config, self.task_set = config, task_set
         self.train_set, self.val_set = train_set, val_set
         self.streams = _streams(config.seed)

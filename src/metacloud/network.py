@@ -17,15 +17,27 @@ the matrix-vector path. A head row does depend on its product: with fewer
 than four classes the last rows of its last product round differently, so
 training and inference both run the head once per call, on all its rows.
 
-Training (loss_and_grad) keeps all three per-point layers for its
-backward. A pack whose clouds share one size n pools the (clouds, n,
-features) reshape of the last layer, a pack of mixed sizes cloud by cloud;
-a maximum has the same bits in any order it is taken. The backward is
-sparse below the pool. Only a point that wins a feature whose maximum is
-positive gets any gradient (the "critical" points of PointNet, Qi et al.
-2017): a feature that is zero at every point is a closed ReLU. The winners
-come from `argmax` beside the pool, are gathered once with `np.unique`, and
-layers 3, 2 and 1 run their backward on those rows alone. Their sums then
+Training (loss_and_grad) runs the per-point layers over chunks of whole
+clouds, in order, each of at most CHUNK_ROWS rows; a larger cloud is a
+chunk of its own. Each chunk is pooled as soon as its last layer exists,
+and its features are freed before the next chunk's. A chunk is whole
+clouds, so a cloud's maximum and its winner are taken in one place and no
+partial maximum has to be merged across chunks. A chunk whose clouds share
+one size n pools the (clouds, n, features) reshape of the last layer, a
+chunk of mixed sizes cloud by cloud; a maximum has the same bits in any
+order it is taken. By the row invariance above, chunks move no bits: the
+pooled features, winners, loss and gradients are those of one pass over
+the whole pack.
+
+The backward is sparse below the pool. Only a point that wins a feature
+whose maximum is positive gets any gradient (the "critical" points of
+PointNet, Qi et al. 2017): a feature that is zero at every point is a
+closed ReLU. The winners come from `argmax` beside the pool, are gathered
+once with `np.unique`, and layers 1 and 2 run again on those points alone,
+with the bits they had in their chunks; layers 3, 2 and 1 run their
+backward on those rows. A call therefore holds one chunk's three layers
+(about 1.8 MB at CHUNK_ROWS = 512) and the critical rows' backward arrays,
+at most 256 rows a cloud, never every point's layers. The backward's sums
 cover fewer rows in another order than a dense backward would, so the
 gradients agree with it to rounding, not bit for bit; the same inputs still
 give the same bits.
@@ -46,6 +58,8 @@ import numpy as np
 
 POINT_SIZES = (3, 64, 128, 256)
 HEAD_HIDDEN = 128
+# Rows of one chunk of training's per-point pass: its three layers take about 1.8 MB.
+CHUNK_ROWS = 512
 PARAM_KEYS = ("w1", "b1", "w2", "b2", "w3", "b3", "w4", "b4", "w5", "b5")
 
 CHECKPOINT_MAGIC = b"MCC\x01"
@@ -94,17 +108,28 @@ def _check_clouds(clouds):
 
 
 def _pack(clouds):
-    """Concatenate clouds into one (total, 3) block.
+    """Concatenate clouds into one (total, 3) block, cut into chunks of whole clouds.
 
-    Returns (packed, starts, width): the segment starts, and the size every
-    cloud shares, or None when the sizes differ.
+    Returns (packed, starts, chunks): the segment starts, and per chunk the
+    slice of clouds it holds, the slice of packed rows they fill, and the
+    size its clouds share, or None when their sizes differ. Clouds join a
+    chunk in order while it holds at most CHUNK_ROWS rows; a larger cloud
+    is a chunk of its own.
     """
     _check_clouds(clouds)
     sizes = [len(pts) for pts in clouds]
     packed = np.concatenate(clouds, axis=0).astype(np.float64, copy=False)
-    starts = np.concatenate(([0], np.cumsum(sizes)[:-1])).astype(np.intp)
-    width = sizes[0] if sizes.count(sizes[0]) == len(sizes) else None
-    return packed, starts, width
+    ends = np.cumsum(sizes)
+    starts = np.concatenate(([0], ends[:-1])).astype(np.intp)
+    firsts = [0]
+    for i in range(1, len(sizes)):
+        if ends[i] - starts[firsts[-1]] > CHUNK_ROWS:
+            firsts.append(i)
+    chunks = []
+    for lo, hi in zip(firsts, firsts[1:] + [len(sizes)]):
+        same = sizes[lo:hi].count(sizes[lo]) == hi - lo
+        chunks.append((slice(lo, hi), slice(starts[lo], ends[hi - 1]), sizes[lo] if same else None))
+    return packed, starts, chunks
 
 
 def _dense_relu(x, w, b):
@@ -169,15 +194,17 @@ def loss_batch(params, clouds, labels):
 def _pool(h3, starts, width):
     """(pooled, winners): each cloud's max pool of packed features, and the lowest row attaining it.
 
-    A mixed pack pools cloud by cloud, about seven times faster than
-    np.maximum.reduceat on 20 clouds of 96 points. The argmax runs on where
-    h3 equals its maximum: on floats it would first copy all of h3.
+    h3 holds the features of the clouds that start at `starts` in the pack,
+    from row starts[0] on; winners are rows of the pack. A mixed pack pools
+    cloud by cloud, about seven times faster than np.maximum.reduceat on 20
+    clouds of 96 points. The argmax runs on where h3 equals its maximum: on
+    floats it would first copy all of h3.
     """
     if width is not None:
         cube = h3.reshape(len(starts), width, -1)
         pooled = cube.max(axis=1)
         return pooled, starts[:, None] + (cube == pooled[:, None]).argmax(axis=1)
-    segments = np.split(h3, starts[1:])
+    segments = np.split(h3, starts[1:] - starts[0])
     pooled = np.stack([seg.max(axis=0) for seg in segments])
     tops = zip(starts, segments, pooled)
     return pooled, np.stack([lo + (seg == top).argmax(axis=0) for lo, seg, top in tops])
@@ -190,10 +217,12 @@ def loss_and_grad(params, clouds, labels):
         (loss, grads) where grads has the same keys and shapes as params.
     """
     labels = np.asarray(labels)
-    pts, starts, width = _pack(list(clouds))
-    h1 = _point_layer(pts, params["w1"], params["b1"])
-    h2 = _point_layer(h1, params["w2"], params["b2"])
-    pooled, winners = _pool(_point_layer(h2, params["w3"], params["b3"]), starts, width)
+    pts, starts, chunks = _pack(list(clouds))
+    pooled = np.empty((len(starts), POINT_SIZES[-1]))
+    winners = np.empty(pooled.shape, dtype=np.intp)
+    for cut, rows, width in chunks:
+        # The chunk's features are freed once pooled, before the next chunk's exist.
+        pooled[cut], winners[cut] = _pool(_point_features(params, pts[rows]), starts[cut], width)
     h4, logits = _head(params, pooled)
     loss, softmax = cross_entropy(logits, labels)
     batch = len(labels)
@@ -214,12 +243,15 @@ def loss_and_grad(params, clouds, labels):
     # Max pool: each feature's gradient goes to its winner, and only where
     # the maximum is positive, since a winner's h3 equals pooled and a zero
     # there is a closed ReLU. No other point gets any gradient, so layers 3,
-    # 2 and 1 run their backward on the winner rows alone.
+    # 2 and 1 run their backward on the winner rows alone, and layers 1 and 2
+    # run again on those rows, with the bits they had in their chunks.
     live = pooled > 0.0
     critical, slot = np.unique(winners[live], return_inverse=True)
     d_z3 = np.zeros((len(critical), pooled.shape[1]))
     d_z3[slot, np.nonzero(live)[1]] = d_pooled[live]
-    h2, h1, pts = h2[critical], h1[critical], pts[critical]
+    pts = pts[critical]
+    h1 = _point_layer(pts, params["w1"], params["b1"])
+    h2 = _point_layer(h1, params["w2"], params["b2"])
 
     grads["w3"] = h2.T @ d_z3
     grads["b3"] = d_z3.sum(axis=0)

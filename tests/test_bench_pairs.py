@@ -10,7 +10,7 @@ ROOT = Path(__file__).resolve().parents[1]
 spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
 bench_pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_pairs)
-BETTER = bench_pairs.directions(json.loads((ROOT / "BENCHMARK.json").read_text()))
+DECLARED = bench_pairs.declared(json.loads((ROOT / "BENCHMARK.json").read_text()))
 
 
 def paired_runs(parent, change, name="w.setup_s"):
@@ -27,7 +27,7 @@ def paired_runs(parent, change, name="w.setup_s"):
 
 def test_ties_count_for_neither_side():
     runs = paired_runs([1.0, 2.0, 3.0, 4.0], [1.0, 2.5, 3.0, 3.5])
-    entry = bench_pairs.summarise(runs, BETTER)["w.setup_s"]
+    entry = bench_pairs.summarise(runs, DECLARED)["w.setup_s"]
     assert (entry["pairs"], entry["change_lower"], entry["change_higher"]) == (4, 1, 1)
     assert entry["parent"] == {"median": 2.5, "q1": 1.75, "q3": 3.25, "n": 4}
 
@@ -38,7 +38,7 @@ def test_a_metric_missing_from_one_side_is_skipped():
     for run in runs:
         run["parent"]["metrics"]["w.only_parent"] = {"value": 1.0, "unit": "s"}
     del runs[1]["change"]["metrics"]["w.setup_s"]
-    out = bench_pairs.summarise(runs, BETTER)
+    out = bench_pairs.summarise(runs, DECLARED)
     assert set(out) == {"w.setup_s"}
     assert (out["w.setup_s"]["pairs"], out["w.setup_s"]["change_lower"]) == (2, 2)
 
@@ -58,7 +58,7 @@ def test_a_metric_missing_from_one_side_is_skipped():
     ],
 )
 def test_meets_lower_rule_needs_both_halves(parent, change, meets):
-    entry = bench_pairs.summarise(paired_runs(parent, change), BETTER)["w.setup_s"]
+    entry = bench_pairs.summarise(paired_runs(parent, change), DECLARED)["w.setup_s"]
     assert entry["meets_lower_rule"] is meets
 
 
@@ -69,6 +69,26 @@ def test_meets_lower_rule_needs_both_halves(parent, change, meets):
 )
 def test_the_rule_is_null_unless_lower_is_better_over_10_pairs(name, pairs):
     """A gain a rule for lower-is-better metrics finds in 10 pairs is not read into others."""
-    entry = bench_pairs.summarise(paired_runs([10.0] * pairs, [5.0] * pairs, name), BETTER)[name]
+    entry = bench_pairs.summarise(paired_runs([10.0] * pairs, [5.0] * pairs, name), DECLARED)[name]
     assert entry["change_lower"] == pairs
     assert entry["meets_lower_rule"] is None
+
+
+@pytest.mark.parametrize(
+    "name, change, within",
+    [
+        # setup_s is bounded at 0.25: a median 25% above the parent's is still within.
+        ("w.setup_s", 1.25, True),
+        ("w.setup_s", 1.2501, False),
+        ("w.setup_s", 0.5, True),
+        # peak_rss_mb is bounded at 0.15.
+        ("w.peak_rss_mb", 1.15, True),
+        ("w.peak_rss_mb", 1.16, False),
+        # No bound is declared for a per-layer metric or an unknown one.
+        ("w.trace.coverage", 5.0, None),
+        ("w.unknown", 1.0, None),
+    ],
+)
+def test_within_bound_compares_medians_with_the_declared_bound(name, change, within):
+    entry = bench_pairs.summarise(paired_runs([1.0] * 3, [change] * 3, name), DECLARED)[name]
+    assert entry["within_bound"] is within

@@ -413,6 +413,23 @@ def test_train_rejects_a_cloud_dropping_cannot_thin(bench_dir, tmp_path, capsys)
         assert not out.exists()
 
 
+def test_train_rejects_a_cloud_outside_the_unit_ball(bench_dir, tmp_path, capsys):
+    """A training cloud scaled by 100 exits 4 before epoch 1, naming it and its norm."""
+    shutil.copytree(bench_dir, tmp_path / "d")
+    path = tmp_path / "d" / "cone" / "cone_0003.txt"
+    cloud = data.load_cloud(path)
+    data.save_cloud(path, PointCloud(cloud.points * 100.0, cloud.label))
+    norm = float(np.linalg.norm(data.load_cloud(path).points, axis=1).max())
+    out = tmp_path / "r"
+    code = run_cli(["train", "--manifest", str(tmp_path / "d"), "--seed", "0", "--out", str(out)])
+    assert code == 4
+    assert capsys.readouterr().err == (
+        f"error: training cloud 3 lies outside the unit ball: its largest norm is {norm!r}"
+        " (tolerance 1e-06)\n"
+    )
+    assert not out.exists()
+
+
 def test_train_stops_on_non_finite_loss(bench_dir, tmp_path, capsys):
     """A diverging run exits 4 naming epoch, step and task, and writes nothing."""
     cfg = tmp_path / "diverge.cfg"

@@ -1,10 +1,12 @@
 """Unit tests for task sets, soft sampling, and the bilevel training loop."""
 
+import re
+
 import numpy as np
 import pytest
 
 import metacloud.meta as meta
-from metacloud.data import Dataset
+from metacloud.data import Dataset, default_families, generate_synthetic_dataset
 from metacloud.geometry import PointCloud, TransformSpec, apply_transform, normalize_unit_ball
 from metacloud.meta import (
     DEFAULT_TASK_RANGES,
@@ -447,6 +449,37 @@ def test_run_rejects_clouds_a_dropping_task_cannot_thin(monkeypatch):
     monkeypatch.undo()
     Run(quick_config(), one_point, ds, ts, MODE_NONE)  # raw training batches need no thinning
     Run(quick_config(), one_point, one_point, identity_task_set(2), MODE_METASETS)
+
+
+def test_run_rejects_clouds_outside_the_unit_ball(monkeypatch):
+    """Before any draw, a cloud the mode corrupts that leaves the unit ball stops the run by name.
+
+    Generated clouds of all five kinds lie inside within the tolerance, and
+    every mode takes them. A cloud scaled by 100 is rejected in each split
+    the mode corrupts: validation always, training unless the mode is none.
+    """
+    bound = 1.0 + meta.UNIT_BALL_TOLERANCE
+    for seed, points in ((0, 1024), (1, 64), (2, 96)):
+        generated = generate_synthetic_dataset(default_families(points), 3, seed)
+        assert {item.points.shape[0] for item in generated.items} == {points}
+        assert max(np.linalg.norm(item.points, axis=1).max() for item in generated.items) <= bound
+    ts = build_task_set("paper")
+    items = list(generated.items)
+    items[2] = PointCloud(items[2].points * 100.0, items[2].label)
+    scaled = Dataset(items=items, class_names=list(generated.class_names))
+    norm = re.escape(repr(float(np.linalg.norm(items[2].points, axis=1).max())))
+    monkeypatch.setattr(meta, "_streams", lambda seed: pytest.fail("drew before the check"))
+    for mode in MODES:
+        with pytest.raises(ValueError, match=rf"^validation cloud 3 lies outside the unit ball: "
+                                             rf"its largest norm is {norm} \(tolerance 1e-06\)$"):
+            Run(quick_config(), generated, scaled, ts, mode)
+        if mode != MODE_NONE:
+            with pytest.raises(ValueError, match=r"^training cloud 3 lies outside the unit ball"):
+                Run(quick_config(), scaled, generated, ts, mode)
+    monkeypatch.undo()
+    for mode in MODES:
+        Run(quick_config(), generated, generated, ts, mode)
+    Run(quick_config(), scaled, generated, ts, MODE_NONE)  # raw training batches are not corrupted
 
 
 def test_train_none_mode_learns_toy_problem():

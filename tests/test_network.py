@@ -217,7 +217,8 @@ def test_ragged_pool_matches_per_cloud_reference(monkeypatch):
 
     Checked at both pools, training's (loss_and_grad) and inference's
     (logits_batch), by what reaches the head. Covers ties (repeated rows),
-    features that are zero over a whole cloud and a two-point cloud. Every
+    features that are zero over a whole cloud and a two-point cloud, and a
+    batch that training pools in chunks, ragged and same-size ones. Every
     cloud has two or more points, so every product has more than one row
     and each row gets the same bits packed or alone. Training's winners are
     the lowest rows attaining each maximum.
@@ -231,6 +232,8 @@ def test_ragged_pool_matches_per_cloud_reference(monkeypatch):
     same = [rng.standard_normal((12, 3)) for _ in range(5)]
     same.append(np.repeat(same[0][:3], 4, axis=0))
     same.append(-np.abs(rng.standard_normal((12, 3))) * 50.0)
+    chunked = [rng.standard_normal((n, 3)) for n in (40, 300, 256, 256, 3, 600)]
+    chunked.insert(2, -np.abs(rng.standard_normal((90, 3))) * 50.0)
     pooled_seen = []
     head = network._head
 
@@ -239,9 +242,9 @@ def test_ragged_pool_matches_per_cloud_reference(monkeypatch):
         return head(params, pooled)
 
     monkeypatch.setattr(network, "_head", record_head)
-    for clouds, same_size in ((ragged, False), (same, True)):
-        pts, starts, width = network._pack(clouds)
-        assert (width is not None) == same_size
+    for clouds, widths in ((ragged, [None]), (same, [12]), (chunked, [None, 256, 3, 600])):
+        pts, starts, chunks = network._pack(clouds)
+        assert [width for _, _, width in chunks] == widths
         feats = [point_features(params, c) for c in clouds]
         want = np.stack([f.max(axis=0) for f in feats])
         assert (want == 0.0).any()
@@ -251,7 +254,10 @@ def test_ragged_pool_matches_per_cloud_reference(monkeypatch):
         assert len(pooled_seen) == 2
         for pooled in pooled_seen:
             np.testing.assert_array_equal(pooled, want)
-        _, winners = network._pool(network._point_features(params, pts), starts, width)
+        winners = np.concatenate([
+            network._pool(network._point_features(params, pts[rows]), starts[cut], width)[1]
+            for cut, rows, width in chunks
+        ])
         for lo, f, won in zip(starts, feats, winners):
             np.testing.assert_array_equal(won - lo, (f == f.max(axis=0)).argmax(axis=0))
 
@@ -307,6 +313,58 @@ def test_evaluate_tasks_holds_one_clouds_features_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < layers + pooled + 256 * 1024
+
+
+def test_loss_and_grad_holds_one_chunks_features_at_a_time():
+    """Training's traced peak is one chunk's per-point layers plus the critical rows' backward.
+
+    The bound is one chunk's three per-point layers; plus, for at most 256
+    critical rows a cloud, each row's point, its layers 1 to 3 and the
+    gradients of layers 2 and 1; plus the pack, and 256 KB for the rest of
+    the call. Holding every point's layers would take about 59 MB here.
+    """
+    rng = np.random.default_rng(61)
+    params = init_params(3, rng)
+    clouds = [rng.standard_normal((1024, 3)) for _ in range(16)]
+    labels = rng.integers(0, 3, size=len(clouds))
+    layers = network.CHUNK_ROWS * sum(network.POINT_SIZES[1:]) * 8
+    critical = len(clouds) * 256 * (sum(network.POINT_SIZES) + sum(network.POINT_SIZES[1:3])) * 8
+    pack = sum(c.nbytes for c in clouds)
+    loss_and_grad(params, clouds, labels)
+    tracemalloc.start()
+    try:
+        loss_and_grad(params, clouds, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < layers + critical + pack + 256 * 1024
+
+
+CHUNK_BATCHES = {
+    "one-point-cloud": [5, 1, 510, 1, 2],
+    "cloud-over-chunk-rows": [30, 700, 2],
+    "boundary-in-same-size-batch": [96] * 11,
+    "same-size-run-in-ragged-batch": [20, 30, 500, 256, 256, 7, 1],
+}
+
+
+@pytest.mark.parametrize("sizes", CHUNK_BATCHES.values(), ids=CHUNK_BATCHES)
+def test_chunk_boundaries_do_not_move_bits(monkeypatch, sizes):
+    """Loss and gradients have the same bytes with one cloud a chunk and with one chunk in all.
+
+    With CHUNK_ROWS at 1 every cloud is a chunk of its own, so a one-point
+    cloud runs alone; with CHUNK_ROWS at the batch's rows one chunk holds
+    the whole batch. The default cuts each batch here into several chunks.
+    """
+    rng, params, clouds = random_clouds(sizes, 70 + len(sizes), 3)
+    labels = rng.integers(0, 3, size=len(clouds))
+    assert len(network._pack(clouds)[2]) > 1
+    got = []
+    for rows in (1, network.CHUNK_ROWS, sum(sizes)):
+        monkeypatch.setattr(network, "CHUNK_ROWS", rows)
+        loss, grads = loss_and_grad(params, clouds, labels)
+        got.append([loss] + [grads[key].tobytes() for key in PARAM_KEYS])
+    assert got[0] == got[1] == got[2]
 
 
 def test_label_count_must_match_cloud_count():
@@ -429,9 +487,9 @@ def test_gradients_match_dense_reference():
     every feature ties and one point wins them all, in a same-size and in a
     mixed batch; every last-layer feature zero at every point of exactly one
     cloud; clouds whose second half repeats the first, so that half wins no
-    feature. Each gradient agrees to 1e-12 of its largest entry: the two sum
-    the batch in different orders, so tiny entries differ more in relative
-    terms.
+    feature; mixed sizes over several chunks. Each gradient agrees to 1e-12
+    of its largest entry: the two sum the batch in different orders, so tiny
+    entries differ more in relative terms.
     """
     batches = [tiny_batch(30), tiny_batch(31, min_pts=9, max_pts=9)]
 
@@ -454,6 +512,9 @@ def test_gradients_match_dense_reference():
 
     for params, clouds, labels in (tiny_batch(34), tiny_batch(35, min_pts=6, max_pts=6)):
         batches.append((params, [np.concatenate([c, c]) for c in clouds], labels))
+
+    batches.append(tiny_batch(36, n_clouds=12, min_pts=1, max_pts=300))
+    assert len(network._pack(batches[-1][1])[2]) > 1
 
     for params, clouds, labels in batches:
         loss, grads = loss_and_grad(params, clouds, labels)
